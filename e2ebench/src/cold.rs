@@ -14,11 +14,14 @@ use crate::common::*;
 use crate::layers::{gen_worlds_per_s, overhead_pct, Layers};
 use crate::trace::{write_spans, TracedSession, Tracer};
 
-/// Krogan-/Gavin-like instance pairs a run spreads its passes over.
-const PAIRS: usize = 16;
+/// Krogan-/Gavin-like instance pairs a run spreads its passes over. A
+/// window is one pass on every pair: 96 requests, about 8 s on two cores.
+const PAIRS: usize = 8;
 /// Pairs whose answers are graded for `quality_*`, to bound its cost.
-const GRADED_PAIRS: usize = 8;
+const GRADED_PAIRS: usize = 2;
 const TINY_PAIRS: usize = 2;
+/// Every run measures at least this many windows.
+const MIN_WINDOWS: usize = 3;
 
 /// Latency limit behind the computed `max_rps`.
 pub const LIMIT_MS: f64 = 2000.0;
@@ -37,10 +40,8 @@ const TINY_REPLAY_BUDGET_BYTES: usize = 96 << 10;
 /// 2048 worlds), so only k = 160 is kept; Gavin's low edge probabilities
 /// put all its MCP requests at the 2048-world cap. Depth limits are asked
 /// of ACP only: depth-limited MCP finds no full clustering on Krogan-like
-/// graphs and on some Gavin-like instances even at k = 40. Costs cluster
-/// around the median and the 90th percentile (no lone 400 ms request
-/// above the rest), so neither percentile sits in a gap between shapes.
-fn base_shapes(tiny: bool) -> Vec<Shape> {
+/// graphs and on some Gavin-like instances even at k = 40.
+pub fn base_shapes(tiny: bool) -> Vec<Shape> {
     if tiny {
         return vec![
             Shape::mcp(0, 6, None),
@@ -104,8 +105,10 @@ fn pass(p: usize, per_pass: usize, shapes: usize) -> std::ops::Range<usize> {
     start..start + per_pass
 }
 
-/// Whole passes until `seconds` have elapsed and at least `min_requests`
-/// completed; returns the per-request latencies (ms) and the pass count.
+/// Whole windows, each one pass on every pair, until `seconds` have
+/// elapsed and at least [`MIN_WINDOWS`] windows and `min_requests`
+/// requests completed; returns each window's latencies (ms) and the pass
+/// count.
 fn measure(
     graphs: &[UncertainGraph],
     shapes: &[Shape],
@@ -114,24 +117,32 @@ fn measure(
     seconds: f64,
     min_requests: usize,
     book: &mut AnswerBook,
-) -> (Vec<f64>, usize) {
-    let mut lat = Vec::new();
+) -> (Latencies, usize) {
+    let pairs = shapes.len() / per_pass;
+    let mut lat = Latencies::new(per_pass);
     let mut passes = 0;
     let t0 = Instant::now();
-    while t0.elapsed().as_secs_f64() < seconds || lat.len() < min_requests {
-        for i in pass(passes, per_pass, shapes.len()) {
-            let t = Instant::now();
-            let r = one_shot(&graphs[shapes[i].graph], &shapes[i], cfg);
-            lat.push(ms(t.elapsed()));
-            book.record(i, r);
+    while t0.elapsed().as_secs_f64() < seconds
+        || lat.windows().len() < MIN_WINDOWS
+        || lat.samples() < min_requests
+    {
+        let mut window = Vec::with_capacity(shapes.len());
+        for _ in 0..pairs {
+            for i in pass(passes, per_pass, shapes.len()) {
+                let t = Instant::now();
+                let r = one_shot(&graphs[shapes[i].graph], &shapes[i], cfg);
+                window.push((i % per_pass, ms(t.elapsed())));
+                book.record(i, r);
+            }
+            passes += 1;
         }
-        passes += 1;
+        lat.push_window(window);
     }
     (lat, passes)
 }
 
 pub fn run(args: &Args) -> Report {
-    let ((graphs, shapes, per_pass), setup_s) = repeated_setup(5, || inputs(args));
+    let ((graphs, shapes, per_pass), setup_s) = repeated_setup(15, || inputs(args));
     let cfg = ClusterConfig::default().with_seed(args.seed);
     if args.trace {
         return traced(args, &graphs, &shapes, per_pass, &cfg, setup_s);
@@ -140,7 +151,11 @@ pub fn run(args: &Args) -> Report {
     let (lat, passes) =
         measure(&graphs, &shapes, per_pass, &cfg, args.seconds, MIN_REQUESTS, &mut book);
     let peak = peak_rss_mb();
-    eprintln!("cold: {} requests in {passes} passes", lat.len());
+    eprintln!(
+        "cold: {} requests in {passes} passes, {} windows",
+        lat.samples(),
+        lat.windows().len()
+    );
 
     // Each request shape against the scalar engine, the only non-mask
     // backend: shape `j` of the mix on the pair of pass `j % passes`.
@@ -156,15 +171,14 @@ pub fn run(args: &Args) -> Report {
     let graded = GRADED_PAIRS * per_pass;
     let (pmin, pavg) =
         quality(&graphs, &shapes, &book, args.seed, eval_samples(args, 2048), |i| i < graded);
-    let busy_s = lat.iter().sum::<f64>() / 1e3;
     Report::new(
         &[&book],
         vec![
             metric("setup_s", setup_s, "s"),
-            metric("p50_ms", median(&lat), "ms"),
-            metric("p90_ms", percentile(&lat, 90.0), "ms"),
-            metric("rps", lat.len() as f64 / busy_s, "req/s"),
-            metric("max_rps", replay_max_rate(&lat, LIMIT_MS), "req/s"),
+            metric("p50_ms", lat.p50(), "ms"),
+            metric("p90_ms", lat.p90(), "ms"),
+            metric("rps", lat.rps(), "req/s"),
+            metric("max_rps", lat.median_over_windows(|w| replay_max_rate(w, LIMIT_MS)), "req/s"),
             metric("peak_rss_mb", peak, "MiB"),
             metric("quality_pmin", pmin, "prob"),
             metric("quality_pavg", pavg, "prob"),
@@ -187,6 +201,7 @@ fn traced(
     let mut book = AnswerBook::new(shapes.len());
     let (lat, passes) =
         measure(graphs, shapes, per_pass, cfg, args.seconds / 2.0, MIN_REQUESTS, &mut book);
+    let lat: Vec<f64> = lat.windows().concat();
     let replay = |cfg: &ClusterConfig, passes: usize, book: &mut AnswerBook| {
         let tracer = Tracer::shared();
         let mut lat = Vec::new();

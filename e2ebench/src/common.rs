@@ -1,4 +1,4 @@
-//! Pieces shared by the three workloads: inputs, request shapes, answer
+//! Pieces shared by the workloads: inputs, request shapes, answer
 //! checks, latency statistics, quality evaluation and the result line.
 
 use std::fmt::Write as _;
@@ -35,7 +35,6 @@ pub struct Args {
 pub enum GraphKind {
     Krogan,
     Gavin,
-    Collins,
 }
 
 impl GraphKind {
@@ -43,7 +42,6 @@ impl GraphKind {
         match self {
             GraphKind::Krogan => "krogan",
             GraphKind::Gavin => "gavin",
-            GraphKind::Collins => "collins",
         }
     }
 
@@ -55,14 +53,12 @@ impl GraphKind {
             let spec = match self {
                 GraphKind::Krogan => DatasetSpec::Krogan,
                 GraphKind::Gavin => DatasetSpec::Gavin,
-                GraphKind::Collins => DatasetSpec::Collins,
             };
             return spec.generate(seed).graph;
         }
         let prob_dist = match self {
             GraphKind::Krogan => ProbDistribution::KroganMixture,
             GraphKind::Gavin => ProbDistribution::LowConfidence,
-            GraphKind::Collins => ProbDistribution::HighConfidence,
         };
         let d = ppi_like(&PpiConfig {
             num_proteins: 150,
@@ -338,6 +334,79 @@ pub fn mean(samples: &[f64]) -> f64 {
         0.0
     } else {
         samples.iter().sum::<f64>() / samples.len() as f64
+    }
+}
+
+/// Latencies (ms) of a run's measured requests, kept two ways: by the
+/// mix's base shape, pooled over the instances the shape runs on, and by
+/// window, one pass over the whole mix on every instance.
+///
+/// A shape's cost moves by up to a third from one graph instance to the
+/// next, and a shared host can run the same request up to 1.7× slower
+/// for seconds at a time. Percentiles over a heterogeneous mix jump when two
+/// shapes swap places, so latencies are summarised per shape and the
+/// shapes combined by a geometric mean, in which every shape weighs the
+/// same and none can jump. Throughput is taken per window and the median
+/// over windows reported, so a slow spell that covers fewer than half of
+/// the windows does not move it.
+#[derive(Clone, Debug)]
+pub struct Latencies {
+    by_shape: Vec<Vec<f64>>,
+    windows: Vec<Vec<f64>>,
+}
+
+impl Latencies {
+    /// An empty record for a mix of `shapes` base shapes.
+    pub fn new(shapes: usize) -> Latencies {
+        Latencies { by_shape: vec![Vec::new(); shapes], windows: Vec::new() }
+    }
+
+    /// Adds one window of `(base shape, latency ms)` samples.
+    pub fn push_window(&mut self, samples: impl IntoIterator<Item = (usize, f64)>) {
+        let mut window = Vec::new();
+        for (shape, ms) in samples {
+            self.by_shape[shape].push(ms);
+            window.push(ms);
+        }
+        self.windows.push(window);
+    }
+
+    pub fn windows(&self) -> &[Vec<f64>] {
+        &self.windows
+    }
+
+    pub fn samples(&self) -> usize {
+        self.windows.iter().map(Vec::len).sum()
+    }
+
+    /// Geometric mean over the shapes of each shape's `p`-th percentile.
+    pub fn shape_geomean(&self, p: f64) -> f64 {
+        let logs: Vec<f64> = self
+            .by_shape
+            .iter()
+            .filter(|v| !v.is_empty())
+            .map(|v| percentile(v, p).max(f64::MIN_POSITIVE).ln())
+            .collect();
+        mean(&logs).exp()
+    }
+
+    pub fn p50(&self) -> f64 {
+        self.shape_geomean(50.0)
+    }
+
+    pub fn p90(&self) -> f64 {
+        self.shape_geomean(90.0)
+    }
+
+    /// The median over windows of `stat` of each window's latencies.
+    pub fn median_over_windows(&self, stat: impl Fn(&[f64]) -> f64) -> f64 {
+        median(&self.windows.iter().map(|w| stat(w)).collect::<Vec<_>>())
+    }
+
+    /// Requests completed per second of request time, for one closed-loop
+    /// caller.
+    pub fn rps(&self) -> f64 {
+        self.median_over_windows(|w| w.len() as f64 * 1e3 / w.iter().sum::<f64>())
     }
 }
 

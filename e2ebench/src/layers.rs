@@ -49,7 +49,6 @@ pub struct Layers {
     pub serve_admission_rejections: f64,
     pub serve_sessions_evicted: f64,
     pub serve_solve_errors: f64,
-    pub loadgen_late_p90_ms: f64,
     pub trace_overhead_pct: f64,
     pub trace_requests: f64,
 }
@@ -141,7 +140,6 @@ impl Layers {
             metric("serve.admission_rejections", self.serve_admission_rejections, "count"),
             metric("serve.sessions_evicted", self.serve_sessions_evicted, "count"),
             metric("serve.solve_errors", self.serve_solve_errors, "count"),
-            metric("loadgen.late_p90_ms", self.loadgen_late_p90_ms, "ms"),
             metric("trace.overhead_pct", self.trace_overhead_pct, "%"),
             metric("trace.requests", self.trace_requests, "count"),
         ]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path e2ebench/Cargo.toml -- \
-//!     --workload <cold|serve> --seed <n> --seconds <s> --trace <0|1>
+//!     --workload <cold|serve-cold> --seed <n> --seconds <s> --trace <0|1>
 //! cargo run --release --manifest-path e2ebench/Cargo.toml -- --smoke
 //! ```
 //!
@@ -38,7 +38,7 @@ const END_TO_END: [(&str, &str); 8] = [
     ("quality_pavg", "prob"),
 ];
 
-const WORKLOADS: [&str; 2] = ["cold", "serve"];
+const WORKLOADS: [&str; 2] = ["cold", "serve-cold"];
 
 fn parse(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args =
@@ -99,7 +99,7 @@ fn main() -> ExitCode {
             }
         },
         Err(e) => {
-            eprintln!("error: {e}\nusage: --workload <cold|serve> --seed <n> --seconds <s> --trace <0|1> | --smoke");
+            eprintln!("error: {e}\nusage: --workload <cold|serve-cold> --seed <n> --seconds <s> --trace <0|1> | --smoke");
             ExitCode::from(2)
         }
     }

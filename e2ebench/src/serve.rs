@@ -1,12 +1,12 @@
-//! `serve`: a `ugraph serve` server on loopback holding Krogan-like and
-//! Collins-like graphs, sessions warmed during set-up, driven by one load
-//! generator process: a closed-loop caller and open-loop arrivals at fixed
-//! rates over `min(nproc, 2)` pooled connections. Warm solves are cheap
-//! next to cold ones, so the wire codec, registry queueing, the session
-//! actor hop and row-cache service take a visible share; pool generation
-//! does nothing.
+//! `serve-cold`: one-shot requests through a `ugraph serve` server on
+//! loopback that evicts idle sessions, driven by one closed-loop
+//! `ClientPool` caller. The server holds Krogan-like and Gavin-like
+//! graphs and runs the `cold` mix. Requests visit the graphs round-robin,
+//! so a graph's session has been idle long enough to be evicted before
+//! its next request: every request spawns a session actor and generates
+//! its pools, as a one-shot call does, and adds the wire codec, the
+//! registry's spawn and eviction, and the actor hop on top.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,73 +19,42 @@ use ugraph_server::{
     WireDepth, WireSolve,
 };
 
+use crate::cold;
 use crate::common::*;
 use crate::layers::{gen_worlds_per_s, overhead_pct, Layers};
 use crate::trace::{write_spans, TracedSession, Tracer};
 
-/// Krogan-/Collins-like instance pairs the server holds.
-const PAIRS: usize = 3;
+/// Krogan-/Gavin-like instance pairs the server holds. A window is one
+/// pass of the `cold` mix on every pair: 96 requests, about 9 s on two
+/// cores.
+const PAIRS: usize = 8;
 const TINY_PAIRS: usize = 1;
-
-/// Fixed open-loop arrival rates (req/s), ascending. On two cores the
-/// loopback server's 90th percentile crosses the limit somewhere between
-/// 40 and 80 req/s, depending on host load, and it saturates below
-/// 320 req/s; the ladder stays clear of that boundary so `max_rps` does
-/// not flip between runs.
-pub const RATES: [f64; 4] = [10.0, 20.0, 40.0, 320.0];
-/// The rate at which `p50_ms`/`p90_ms` are reported.
-pub const REFERENCE_RATE: f64 = 20.0;
-/// Latency limit on the 90th percentile behind `max_rps`.
-pub const LIMIT_MS: f64 = 100.0;
-/// Every phase is split into this many short windows, run round-robin
-/// with the other phases, so a slow spell of the shared machine spreads
-/// over all phases instead of landing on one. Each open-loop window ends
-/// once its requests are answered, so an overloaded window's backlog does
-/// not spill into the next.
-const WINDOWS: usize = 10;
-
-/// The mix on one instance pair: graph 0 is the Krogan-like instance,
-/// 1 the Collins-like one. Warm Collins solves take about a millisecond,
-/// warm Krogan ACP solves 5–30 ms; the Krogan share keeps the median
-/// above the millisecond scale, where thread wake-ups on a shared host
-/// swing latencies by a third from run to run, and puts it between two
-/// shapes of similar cost rather than in a gap. Krogan-like graphs get ACP
-/// only: their MCP requests land on either side of the schedule's
-/// q = 0.2 step (251 vs 2048 worlds) depending on the instance.
-fn base_shapes(tiny: bool) -> Vec<Shape> {
-    if tiny {
-        return vec![
-            Shape::acp(0, 6, None),
-            Shape::mcp(1, 6, None),
-            Shape::acp(0, 6, Some(4)),
-            Shape::mcp(1, 10, Some(4)),
-        ];
-    }
-    vec![
-        Shape::acp(0, 80, None),
-        Shape::mcp(1, 160, None),
-        Shape::acp(0, 40, Some(4)),
-        Shape::acp(1, 160, None),
-        Shape::acp(0, 80, Some(4)),
-        Shape::mcp(1, 160, Some(4)),
-        Shape::acp(0, 160, None),
-        Shape::acp(0, 160, Some(4)),
-    ]
-}
+/// Pairs whose answers are graded for `quality_*`, to bound its cost.
+const GRADED_PAIRS: usize = 2;
+/// Every run measures at least this many windows.
+const MIN_WINDOWS: usize = 3;
+/// Sessions idle this long are evicted. The server checks every 25 ms,
+/// and a graph's next request comes at least `2 * PAIRS - 1` requests
+/// (over 100 ms) later.
+const IDLE_EVICT: Duration = Duration::from_millis(1);
 
 /// The graphs with their served names (Krogan-like `i` at `2i`,
-/// Collins-like `i` at `2i + 1`) and the mix over every pair.
+/// Gavin-like `i` at `2i + 1`) and the requests of one window: each
+/// shape of the `cold` mix on every pair in turn, so consecutive requests
+/// go to different graphs. Request `r` is base shape `r / pairs`.
 fn inputs(args: &Args) -> (Vec<(String, Arc<UncertainGraph>)>, Vec<Shape>) {
     let pairs = if args.tiny { TINY_PAIRS } else { PAIRS };
     let graphs = (0..pairs)
         .flat_map(|i| {
-            [GraphKind::Krogan, GraphKind::Collins].map(|k| {
+            [GraphKind::Krogan, GraphKind::Gavin].map(|k| {
                 (format!("{}-{i}", k.name()), Arc::new(k.instance(args.seed, i, args.tiny)))
             })
         })
         .collect();
-    let base = base_shapes(args.tiny);
-    let shapes = (0..pairs).flat_map(|i| base.iter().map(move |s| s.on(2 * i + s.graph))).collect();
+    let shapes = cold::base_shapes(args.tiny)
+        .into_iter()
+        .flat_map(|s| (0..pairs).map(move |i| s.on(2 * i + s.graph)))
+        .collect();
     (graphs, shapes)
 }
 
@@ -105,10 +74,9 @@ fn pool(addr: &str) -> ClientPool {
     ClientPool::new(addr, 1, RetryPolicy::default())
 }
 
-/// One served request as the load generator saw it.
+/// One served request as the caller saw it.
 struct Sample {
     shape: usize,
-    due: Instant,
     sent: Instant,
     done: Instant,
     reply: Result<WireSolve, String>,
@@ -116,239 +84,101 @@ struct Sample {
 
 impl Sample {
     fn latency_ms(&self) -> f64 {
-        ms(self.done - self.due)
-    }
-    fn late_ms(&self) -> f64 {
-        ms(self.sent.saturating_duration_since(self.due))
+        ms(self.done - self.sent)
     }
     fn overhead_ms(&self) -> Option<f64> {
         let solve = self.reply.as_ref().ok()?.elapsed_micros as f64 / 1e3;
-        Some(ms(self.done - self.sent) - solve)
+        Some(self.latency_ms() - solve)
     }
     fn outcome(&self) -> Result<(Answer, Clustering), String> {
         self.reply.as_ref().map_err(Clone::clone).and_then(Answer::of_wire)
     }
 }
 
-/// What set-up builds: the graphs, the mix and a running, warmed server.
+/// What set-up builds: the graphs, the requests and a running server.
 struct Setup {
     graphs: Vec<Arc<UncertainGraph>>,
     shapes: Vec<Shape>,
+    pairs: usize,
     calls: Vec<ClusterCall>,
     server: RunningServer,
-    warm: Vec<Sample>,
 }
 
 fn setup(args: &Args) -> Setup {
     let (named, shapes) = inputs(args);
     let calls: Vec<ClusterCall> = shapes.iter().map(|s| call(s, &named)).collect();
-    let graphs = named.iter().map(|(_, g)| g.clone()).collect();
+    let graphs: Vec<Arc<UncertainGraph>> = named.iter().map(|(_, g)| g.clone()).collect();
+    let pairs = graphs.len() / 2;
     let server = Server::bind(
         "127.0.0.1:0",
         named,
         ClusterConfig::default().with_seed(args.seed),
-        ServerConfig::default(),
+        ServerConfig { idle_evict: Some(IDLE_EVICT), ..ServerConfig::default() },
     )
     .and_then(Server::start)
     .expect("loopback server starts");
-    let mut p = pool(&server.addr().to_string());
-    let warm = calls
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
+    Setup { graphs, shapes, pairs, calls, server }
+}
+
+/// One closed-loop caller issuing every request of the window once.
+fn closed_loop(p: &mut ClientPool, calls: &[ClusterCall]) -> Vec<Sample> {
+    (0..calls.len())
+        .map(|shape| {
             let sent = Instant::now();
-            let reply = p.cluster(c).map_err(|e| e.to_string());
-            Sample { shape: i, due: sent, sent, done: Instant::now(), reply }
+            let reply = p.cluster(&calls[shape]).map_err(|e| e.to_string());
+            Sample { shape, sent, done: Instant::now(), reply }
         })
-        .collect();
-    Setup { graphs, shapes, calls, server, warm }
-}
-
-/// One closed-loop caller cycling through the mix from position `start`
-/// for `seconds` and at least `min` requests.
-fn closed_loop(
-    p: &mut ClientPool,
-    calls: &[ClusterCall],
-    seconds: f64,
-    start: usize,
-    min: usize,
-) -> Vec<Sample> {
-    let mut out = Vec::new();
-    let t0 = Instant::now();
-    while t0.elapsed().as_secs_f64() < seconds || out.len() < min {
-        let shape = (start + out.len()) % calls.len();
-        let sent = Instant::now();
-        let reply = p.cluster(&calls[shape]).map_err(|e| e.to_string());
-        out.push(Sample { shape, due: sent, sent, done: Instant::now(), reply });
-    }
-    out
-}
-
-/// Open-loop arrivals at `rate` for `seconds`: request `j` is due at
-/// `t0 + j / rate` whatever happened before, and is timed from then.
-/// Each generator thread owns one pooled connection.
-fn open_loop(
-    pools: &mut [ClientPool],
-    calls: &[ClusterCall],
-    rate: f64,
-    seconds: f64,
-) -> Vec<Sample> {
-    let total = (rate * seconds).ceil() as usize;
-    let next = AtomicUsize::new(0);
-    let t0 = Instant::now() + Duration::from_millis(2);
-    let (next, t0) = (&next, t0);
-    std::thread::scope(|sc| {
-        let workers: Vec<_> = pools
-            .iter_mut()
-            .map(|p| {
-                sc.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        if j >= total {
-                            return out;
-                        }
-                        let due = t0 + Duration::from_secs_f64(j as f64 / rate);
-                        if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                            std::thread::sleep(wait);
-                        }
-                        let shape = j % calls.len();
-                        let sent = Instant::now();
-                        let reply = p.cluster(&calls[shape]).map_err(|e| e.to_string());
-                        out.push(Sample { shape, due, sent, done: Instant::now(), reply });
-                    }
-                })
-            })
-            .collect();
-        workers.into_iter().flat_map(|w| w.join().expect("load generator thread")).collect()
-    })
-}
-
-/// Seconds from the first request's due time to the last answer.
-fn span_s(samples: &[Sample]) -> f64 {
-    let first = samples.iter().map(|s| s.due).min();
-    let last = samples.iter().map(|s| s.done).max();
-    first.zip(last).map_or(0.0, |(a, b)| (b - a).as_secs_f64())
-}
-
-/// One fixed rate's outcome over all its windows.
-struct Phase {
-    rate: f64,
-    samples: Vec<Sample>,
-    /// Summed window spans, the denominator of the achieved rate.
-    busy_s: f64,
-    /// Per window, how long after its last due time its last answer came:
-    /// a growing backlog shows as a drain time beyond the latency limit.
-    drains_ms: Vec<f64>,
-}
-
-impl Phase {
-    fn latencies(&self) -> Vec<f64> {
-        self.samples.iter().map(Sample::latency_ms).collect()
-    }
-
-    fn p50(&self) -> f64 {
-        median(&self.latencies())
-    }
-
-    fn p90(&self) -> f64 {
-        percentile(&self.latencies(), 90.0)
-    }
-
-    fn achieved(&self) -> f64 {
-        self.samples.len() as f64 / self.busy_s
-    }
-
-    /// Passes when nothing failed, the 90th percentile is within the
-    /// limit and the median window drains within it too, so the backlog
-    /// does not grow.
-    fn passes(&self) -> bool {
-        self.samples.iter().all(|s| s.reply.is_ok())
-            && self.p90() <= LIMIT_MS
-            && median(&self.drains_ms) <= LIMIT_MS
-    }
-}
-
-fn generators(addr: &str) -> Vec<ClientPool> {
-    let n = std::thread::available_parallelism().map_or(1, |n| n.get()).min(2);
-    (0..n).map(|_| pool(addr)).collect()
+        .collect()
 }
 
 pub fn run(args: &Args) -> Report {
-    let (setup, setup_s) = repeated_setup(3, || setup(args));
+    let (setup, setup_s) = repeated_setup(5, || setup(args));
     let (shapes, calls) = (&setup.shapes, &setup.calls);
     let addr = setup.server.addr().to_string();
     let mut book = AnswerBook::new(shapes.len());
-    for s in &setup.warm {
-        book.record(s.shape, s.outcome());
-    }
     if args.trace {
         return traced(args, &setup, book);
     }
 
-    let window = args.seconds / ((1 + RATES.len()) * WINDOWS) as f64;
     let mut caller = pool(&addr);
-    let mut closed = Vec::new();
-    let mut gens = generators(&addr);
-    let mut phases: Vec<Phase> = RATES
-        .iter()
-        .map(|&rate| Phase { rate, samples: Vec::new(), busy_s: 0.0, drains_ms: Vec::new() })
-        .collect();
-    for _ in 0..WINDOWS {
-        let more = closed_loop(&mut caller, calls, window, closed.len(), 0);
-        closed.extend(more);
-        for phase in &mut phases {
-            let samples = open_loop(&mut gens, calls, phase.rate, window);
-            phase.busy_s += span_s(&samples);
-            let last_due = samples.iter().map(|s| s.due).max();
-            let last_done = samples.iter().map(|s| s.done).max();
-            if let Some((due, done)) = last_due.zip(last_done) {
-                phase.drains_ms.push(ms(done.saturating_duration_since(due)));
-            }
-            phase.samples.extend(samples);
-        }
+    let mut lat = Latencies::new(shapes.len() / setup.pairs);
+    let mut samples = Vec::new();
+    let t0 = Instant::now();
+    while t0.elapsed().as_secs_f64() < args.seconds
+        || lat.windows().len() < MIN_WINDOWS
+        || lat.samples() < MIN_REQUESTS
+    {
+        let window = closed_loop(&mut caller, calls);
+        lat.push_window(window.iter().map(|s| (s.shape / setup.pairs, s.latency_ms())));
+        samples.extend(window);
     }
-    let more = closed_loop(
-        &mut caller,
-        calls,
-        0.0,
-        closed.len(),
-        MIN_REQUESTS.saturating_sub(closed.len()),
-    );
-    closed.extend(more);
     let peak = peak_rss_mb();
-    drop(gens);
-    for p in &phases {
-        eprintln!(
-            "serve: {} req/s: p50 {:.3} ms, p90 {:.3} ms, achieved {:.1} req/s, {} samples{}",
-            p.rate,
-            p.p50(),
-            p.p90(),
-            p.achieved(),
-            p.samples.len(),
-            if p.passes() { "" } else { " (over the limit)" }
-        );
+    match caller.stats(None) {
+        Ok(st) => eprintln!(
+            "serve-cold: {} requests in {} windows, {} sessions evicted",
+            samples.len(),
+            lat.windows().len(),
+            st.sessions_evicted
+        ),
+        Err(e) => book.fail(format!("stats request failed: {e}")),
     }
-    for s in closed.iter().chain(phases.iter().flat_map(|p| &p.samples)) {
+    for s in &samples {
         book.record(s.shape, s.outcome());
     }
-    let closed_busy_s: f64 = closed.iter().map(|s| (s.done - s.sent).as_secs_f64()).sum();
-    let max_rps = phases.iter().filter(|p| p.passes()).map(Phase::achieved).fold(0.0, f64::max);
-    let reference = phases.iter().find(|p| p.rate == REFERENCE_RATE).expect("reference rate");
-    let (p50, p90) = (reference.p50(), reference.p90());
 
     check_local(&setup, args.seed, &mut book);
     let graphs: Vec<UncertainGraph> = setup.graphs.iter().map(|g| (**g).clone()).collect();
-    let (pmin, pavg) =
-        quality(&graphs, shapes, &book, args.seed, eval_samples(args, 2048), |_| true);
+    let graded = |i: usize| shapes[i].graph < 2 * GRADED_PAIRS;
+    let (pmin, pavg) = quality(&graphs, shapes, &book, args.seed, eval_samples(args, 2048), graded);
     let _ = setup.server.stop();
+    let max_rps = lat.median_over_windows(|w| replay_max_rate(w, cold::LIMIT_MS));
     Report::new(
         &[&book],
         vec![
             metric("setup_s", setup_s, "s"),
-            metric("p50_ms", p50, "ms"),
-            metric("p90_ms", p90, "ms"),
-            metric("rps", closed.len() as f64 / closed_busy_s, "req/s"),
+            metric("p50_ms", lat.p50(), "ms"),
+            metric("p90_ms", lat.p90(), "ms"),
+            metric("rps", lat.rps(), "req/s"),
             metric("max_rps", max_rps, "req/s"),
             metric("peak_rss_mb", peak, "MiB"),
             metric("quality_pmin", pmin, "prob"),
@@ -357,60 +187,56 @@ pub fn run(args: &Args) -> Report {
     )
 }
 
-/// Served answers must equal a local session's, bit for bit.
+/// Served answers must equal a fresh local session's, bit for bit.
 fn check_local(setup: &Setup, seed: u64, book: &mut AnswerBook) {
     let t0 = Instant::now();
     let cfg = ClusterConfig::default().with_seed(seed);
-    let mut sessions: Vec<UgraphSession<'_>> = setup
-        .graphs
-        .iter()
-        .map(|g| UgraphSession::new(g, cfg.clone()).expect("valid default config"))
-        .collect();
     for (i, s) in setup.shapes.iter().enumerate() {
-        match sessions[s.graph].solve(s.request()) {
-            Ok(r) => book.check_reference(i, "a local session", &Answer::of_solve(&r)),
+        let reply = UgraphSession::new(&setup.graphs[s.graph], cfg.clone())
+            .map_err(|e| e.to_string())
+            .and_then(|mut session| session.solve(s.request()).map_err(|e| e.to_string()));
+        match reply {
+            Ok(r) => book.check_reference(i, "a fresh local session", &Answer::of_solve(&r)),
             Err(e) => book.fail(format!("{}: local reference failed: {e}", s.label())),
         }
     }
-    eprintln!("serve: local reference answers in {:.1?}", t0.elapsed());
+    eprintln!("serve-cold: local reference answers in {:.1?}", t0.elapsed());
 }
 
-/// The traced run: the reference rate untraced and then traced from the
-/// client side, the sent frames replayed through the public codecs, a
-/// traced local replay of the mix for the solver layers, and the session
-/// actor hop.
+/// The traced run: closed-loop windows alternately untraced and traced
+/// from the client side, the sent frames replayed through the public
+/// codecs, a traced local replay of the requests on fresh sessions for
+/// the solver layers, and the session actor hop.
 fn traced(args: &Args, setup: &Setup, mut book: AnswerBook) -> Report {
     let (shapes, calls) = (&setup.shapes, &setup.calls);
     let addr = setup.server.addr().to_string();
     let share = args.seconds / 4.0;
-    let mut gens = generators(&addr);
+    let mut caller = pool(&addr);
     let (mut plain, mut observed) = (Vec::new(), Vec::new());
-    for _ in 0..WINDOWS {
-        plain.extend(open_loop(&mut gens, calls, REFERENCE_RATE, share / WINDOWS as f64));
-        observed.extend(open_loop(&mut gens, calls, REFERENCE_RATE, share / WINDOWS as f64));
+    let t0 = Instant::now();
+    while t0.elapsed().as_secs_f64() < 2.0 * share || observed.len() < MIN_REQUESTS {
+        plain.extend(closed_loop(&mut caller, calls));
+        observed.extend(closed_loop(&mut caller, calls));
     }
     for s in plain.iter().chain(&observed) {
         book.record(s.shape, s.outcome());
     }
     let mut layers = Layers {
-        serve_dials: gens.iter().map(ClientPool::dials).sum::<u64>() as f64,
-        serve_reconnects: gens.iter().map(ClientPool::reconnects).sum::<u64>() as f64,
+        serve_dials: caller.dials() as f64,
+        serve_reconnects: caller.reconnects() as f64,
         ..Layers::default()
     };
-    drop(gens);
 
-    // Client-side spans of the observed phase: queueing in the generator,
-    // the round trip, and inside it the server's own solve time (placed
-    // at the start of the round trip; only its length is measured).
+    // Client-side spans of the observed windows: the round trip, and
+    // inside it the server's own solve time (placed at the start of the
+    // round trip; only its length is measured).
     let tracer = Tracer::shared();
     let mut over = Vec::new();
     {
         let mut t = tracer.borrow_mut();
         for (id, s) in observed.iter().enumerate() {
             t.set_request(id as u64);
-            let root = t.record("request", s.due, s.done, None);
-            t.record("queue", s.due, s.sent, root);
-            let rt = t.record("round_trip", s.sent, s.done, root);
+            let rt = t.record("round_trip", s.sent, s.done, None);
             if let Ok(w) = &s.reply {
                 let solve = s.sent + Duration::from_micros(w.elapsed_micros);
                 t.record("server_solve", s.sent, solve.min(s.done), rt);
@@ -420,12 +246,10 @@ fn traced(args: &Args, setup: &Setup, mut book: AnswerBook) -> Report {
     }
     layers.serve_overhead_p50_ms = median(&over);
     layers.serve_overhead_p90_ms = percentile(&over, 90.0);
-    layers.loadgen_late_p90_ms =
-        percentile(&plain.iter().map(Sample::late_ms).collect::<Vec<_>>(), 90.0);
     let mean_lat = |v: &[Sample]| mean(&v.iter().map(Sample::latency_ms).collect::<Vec<_>>());
     layers.trace_overhead_pct = overhead_pct(mean_lat(&plain), mean_lat(&observed));
     wire_replay(calls, &observed, &mut layers);
-    match pool(&addr).stats(None) {
+    match caller.stats(None) {
         Ok(st) => {
             layers.serve_admission_rejections = st.admission_rejections as f64;
             layers.serve_sessions_evicted = st.sessions_evicted as f64;
@@ -433,32 +257,22 @@ fn traced(args: &Args, setup: &Setup, mut book: AnswerBook) -> Report {
         }
         Err(e) => book.fail(format!("stats request failed: {e}")),
     }
-    write_spans(&tracer.borrow(), "serve", args.seed);
+    drop(caller);
+    write_spans(&tracer.borrow(), "serve-cold", args.seed);
 
-    // Solver layers: a traced local replay of the mix on warm sessions.
+    // Solver layers: a traced local replay of the requests, each on a
+    // fresh traced session (the path an evicted session takes).
     let cfg = ClusterConfig::default().with_seed(args.seed);
     let local = Tracer::shared();
     let mut traced_book = AnswerBook::new(shapes.len());
-    {
-        let mut sessions: Vec<TracedSession<'_>> = setup
-            .graphs
-            .iter()
-            .map(|g| TracedSession::new(g, cfg.clone(), local.clone()))
-            .collect();
-        for (i, s) in shapes.iter().enumerate() {
-            traced_book.record(i, sessions[s.graph].solve(s, 0).map_err(|e| e.to_string()));
-        }
-        local.borrow_mut().reset();
-        let t0 = Instant::now();
-        let mut id = 0u64;
-        while t0.elapsed().as_secs_f64() < share || (id as usize) < MIN_REQUESTS {
-            let i = id as usize % shapes.len();
-            traced_book.record(
-                i,
-                sessions[shapes[i].graph].solve(&shapes[i], id).map_err(|e| e.to_string()),
-            );
-            id += 1;
-        }
+    let t0 = Instant::now();
+    let mut id = 0u64;
+    while t0.elapsed().as_secs_f64() < share || (id as usize) < shapes.len() {
+        let i = id as usize % shapes.len();
+        let s = &shapes[i];
+        let r = TracedSession::new(&setup.graphs[s.graph], cfg.clone(), local.clone()).solve(s, id);
+        traced_book.record(i, r.map_err(|e| e.to_string()));
+        id += 1;
     }
     traced_book.check_against("the served answer", &book);
     layers.solver_from(&local.borrow());

@@ -142,14 +142,6 @@ impl Tracer {
         Some(self.spans.len() - 1)
     }
 
-    /// Forgets every span and counter (after a warm-up pass).
-    pub fn reset(&mut self) {
-        self.spans.clear();
-        self.stack.clear();
-        self.dropped = 0;
-        self.counts = Counts::default();
-    }
-
     /// Total self time per span name, in milliseconds.
     pub fn self_ms(&self) -> BTreeMap<&'static str, f64> {
         let mut child_ns = vec![0u64; self.spans.len()];
