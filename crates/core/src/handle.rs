@@ -296,7 +296,7 @@ mod tests {
         let qa = handle.evaluate(a.clustering).unwrap();
         let qb = direct.evaluate(&b.clustering);
         assert_eq!(qa, qb);
-        assert_eq!(handle.stats().unwrap().kv_line(), direct.stats().kv_line());
+        assert_eq!(handle.stats().unwrap().counters_line(), direct.stats().counters_line());
     }
 
     #[test]

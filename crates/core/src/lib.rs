@@ -104,7 +104,7 @@ pub use mcp::{mcp, mcp_depth, mcp_with_oracle, McpResult};
 pub use min_partial::{min_partial, min_partial_with, MinPartialParams, MinPartialWorkspace};
 pub use objectives::{avg_prob, min_prob};
 pub use request::{ClusterRequest, Objective, SolveResult};
-pub use session::{EvalQuality, RequestRecord, SessionStats, UgraphSession};
+pub use session::{EvalQuality, RequestRecord, SessionStats, UgraphSession, REQUEST_HISTORY};
 pub use ugraph_sampling::{
     CancelToken, EngineKind, Interrupt, RowCacheStats, SamplingError, SamplingPhase,
 };

@@ -52,6 +52,7 @@
 //! assert!(stats.row_cache.hits + stats.row_cache.topups > 0);
 //! ```
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -103,6 +104,11 @@ struct OracleKey {
     /// resolved `(d_select, d_cover)` pair (a [`DepthMcOracle`]).
     depths: Option<(u32, u32)>,
 }
+
+/// Most recent [`RequestRecord`]s a session keeps; older ones drop off the
+/// front, so a long-lived session's history stays bounded. The cumulative
+/// totals of [`SessionStats`] count every request regardless.
+pub const REQUEST_HISTORY: usize = 64;
 
 /// Per-request record kept in [`SessionStats::per_request`].
 #[derive(Clone, Debug)]
@@ -158,7 +164,8 @@ pub struct SessionStats {
     pub shards_regenerated: u64,
     /// Total wall-clock time spent in [`UgraphSession::solve`].
     pub solve_time: Duration,
-    /// One record per successful solve request, in issue order.
+    /// One record per successful solve request, oldest first — the most
+    /// recent [`REQUEST_HISTORY`] only.
     pub per_request: Vec<RequestRecord>,
 }
 
@@ -167,13 +174,22 @@ impl SessionStats {
     /// one line, fixed key set) — the stable form consumed by the wire
     /// protocol's `stats` response and by scripts, kept separate from the
     /// human-oriented [`Display`](fmt::Display) text so the latter can
-    /// evolve freely. Durations are reported in integer milliseconds.
+    /// evolve freely. It is [`SessionStats::counters_line`] followed by
+    /// the wall-clock `solve_time_ms` (integer milliseconds).
     pub fn kv_line(&self) -> String {
+        format!("{} solve_time_ms={}", self.counters_line(), self.solve_time.as_millis())
+    }
+
+    /// The deterministic part of [`SessionStats::kv_line`]: every key but
+    /// the wall-clock `solve_time_ms`. Replays of the same requests on the
+    /// same configuration — local, served or retried — render the same
+    /// line, so this is what equality checks compare.
+    pub fn counters_line(&self) -> String {
         format!(
             "requests={} evaluations={} worlds_held={} solver_pools={} cache_hits={} \
              cache_topups={} cache_fulls={} finalized_blocks={} finalized_lanes={} \
              label_queries={} mask_queries={} bytes_held={} shards_evicted={} \
-             shards_regenerated={} solve_time_ms={}",
+             shards_regenerated={}",
             self.requests,
             self.evaluations,
             self.worlds_held,
@@ -188,7 +204,6 @@ impl SessionStats {
             self.bytes_held,
             self.shards_evicted,
             self.shards_regenerated,
-            self.solve_time.as_millis(),
         )
     }
 }
@@ -258,7 +273,8 @@ pub struct UgraphSession<'g> {
     requests: usize,
     evaluations: usize,
     solve_time: Duration,
-    per_request: Vec<RequestRecord>,
+    /// The last [`REQUEST_HISTORY`] request records, oldest first.
+    per_request: VecDeque<RequestRecord>,
 }
 
 impl<'g> UgraphSession<'g> {
@@ -306,7 +322,7 @@ impl<'g> UgraphSession<'g> {
             requests: 0,
             evaluations: 0,
             solve_time: Duration::ZERO,
-            per_request: Vec::new(),
+            per_request: VecDeque::with_capacity(REQUEST_HISTORY),
         })
     }
 
@@ -422,7 +438,10 @@ impl<'g> UgraphSession<'g> {
             }
         };
         self.solve_time += result.elapsed;
-        self.per_request.push(RequestRecord {
+        if self.per_request.len() == REQUEST_HISTORY {
+            self.per_request.pop_front();
+        }
+        self.per_request.push_back(RequestRecord {
             label,
             samples_used: result.samples_used,
             guesses: result.guesses,
@@ -545,7 +564,7 @@ impl<'g> UgraphSession<'g> {
             shards_evicted: memory.shards_evicted,
             shards_regenerated: memory.shards_regenerated,
             solve_time: self.solve_time,
-            per_request: self.per_request.clone(),
+            per_request: self.per_request.iter().cloned().collect(),
         }
     }
 
@@ -748,6 +767,21 @@ mod tests {
     }
 
     #[test]
+    fn request_history_is_a_bounded_ring() {
+        let g = two_communities();
+        let mut s = UgraphSession::new(&g, ClusterConfig::default().with_seed(5)).unwrap();
+        for i in 0..200 {
+            s.solve(ClusterRequest::mcp(2 + i % 2)).unwrap();
+        }
+        let stats = s.stats();
+        assert_eq!(stats.requests, 200, "cumulative totals count every request");
+        assert_eq!(stats.per_request.len(), REQUEST_HISTORY);
+        // Oldest first: the last record is the 200th request (k = 3).
+        assert_eq!(stats.per_request.last().unwrap().label, "mcp(k=3)");
+        assert_eq!(stats.per_request[0].label, "mcp(k=2)");
+    }
+
+    #[test]
     fn kv_line_is_stable_and_machine_readable() {
         let g = two_communities();
         let mut s = UgraphSession::new(&g, ClusterConfig::default().with_seed(5)).unwrap();
@@ -782,6 +816,14 @@ mod tests {
         let human = s.stats().to_string();
         assert!(human.contains("request(s)"), "{human}");
         assert!(!human.contains("requests="), "{human}");
+        // The counters line is the kv line minus its one timing key.
+        let stats = s.stats();
+        let counters = stats.counters_line();
+        assert!(!counters.contains("solve_time_ms"), "{counters}");
+        assert_eq!(
+            stats.kv_line(),
+            format!("{counters} solve_time_ms={}", stats.solve_time.as_millis())
+        );
     }
 
     #[test]

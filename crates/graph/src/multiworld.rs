@@ -472,8 +472,10 @@ impl<const W: usize> MultiWorldBfs<W> {
     /// Connection counts for a batch of `centers` in one component-sharing
     /// sweep, using the workspace's own scratch buffers (no per-call
     /// allocation). `counts` is center-major (`counts[j * n + u]` gains the
-    /// number of worlds of `lanes` in which `u` is connected to
-    /// `centers[j]`; entries are **added to**, not overwritten).
+    /// number of worlds of `lanes[j]` in which `u` is connected to
+    /// `centers[j]`; entries are **added to**, not overwritten). Each
+    /// center brings its own lane set, so callers can leave out worlds
+    /// they count another way.
     ///
     /// The sweep runs one connectivity fixpoint per center, but any later
     /// center that lands in an earlier center's component inherits that
@@ -483,14 +485,15 @@ impl<const W: usize> MultiWorldBfs<W> {
     /// traversals.
     ///
     /// # Panics
-    /// Panics if `counts.len() != centers.len() * g.num_nodes()`, or under
-    /// the conditions of [`MultiWorldBfs::run_unlimited`].
+    /// Panics if `counts.len() != centers.len() * g.num_nodes()`,
+    /// `lanes.len() != centers.len()`, or under the conditions of
+    /// [`MultiWorldBfs::run_unlimited`].
     pub fn shared_component_counts(
         &mut self,
         g: &impl Adjacency,
         edge_masks: &[Mask<W>],
         centers: &[NodeId],
-        lanes: Mask<W>,
+        lanes: &[Mask<W>],
         counts: &mut [u32],
     ) {
         let k = centers.len();
@@ -501,15 +504,13 @@ impl<const W: usize> MultiWorldBfs<W> {
             "counts sized for {} entries, want {k} centers x {n} nodes",
             counts.len()
         );
-        if k == 0 || lanes.is_zero() {
-            return;
-        }
+        assert_eq!(lanes.len(), k, "one lane mask per center");
         // The scratch buffers are detached from `self` for the duration of
         // the sweep so the traversal below can still borrow the workspace.
         let mut todo = std::mem::take(&mut self.sweep_todo);
         let mut reach = std::mem::take(&mut self.sweep_reach);
         todo.clear();
-        todo.resize(k, lanes);
+        todo.extend_from_slice(lanes);
         for j in 0..k {
             let m = todo[j];
             if m.is_zero() {
@@ -1381,20 +1382,27 @@ mod tests {
         // Duplicates and same-component centers exercise the inherit path.
         let centers = [NodeId(0), NodeId(2), NodeId(0), NodeId(5), NodeId(7)];
         let mut bfs = MultiWorldBfs::new(8);
-        let mut counts = vec![0u32; centers.len() * 8];
-        bfs.shared_component_counts(&g, &masks, &centers, Mask::prefix(lanes), &mut counts);
-        for (j, &c) in centers.iter().enumerate() {
-            let mut want = [0u32; 8];
-            bfs.run_unlimited(&g, &masks, c, Mask::prefix(lanes), |n, mk| {
-                want[n.index()] += mk.count_ones();
-            });
-            assert_eq!(&counts[j * 8..(j + 1) * 8], &want[..], "center {j} ({c}) differs");
-        }
-        // The sweep accumulates: a second pass doubles every entry.
-        let before = counts.clone();
-        bfs.shared_component_counts(&g, &masks, &centers, Mask::prefix(lanes), &mut counts);
-        for (a, b) in counts.iter().zip(before.iter()) {
-            assert_eq!(*a, b * 2);
+        // Uniform lane sets, then one per center (overlapping, disjoint and
+        // empty), which is how callers hand over only the lanes they do not
+        // count another way.
+        let uniform = [Mask::prefix(lanes); 5];
+        let mixed = [m1(0b11_0110_1111), m1(0b00_1111_0000), m1(0), m1(0b10_1010_1010), m1(0b1)];
+        for per_center in [uniform, mixed] {
+            let mut counts = vec![0u32; centers.len() * 8];
+            bfs.shared_component_counts(&g, &masks, &centers, &per_center, &mut counts);
+            for (j, &c) in centers.iter().enumerate() {
+                let mut want = [0u32; 8];
+                bfs.run_unlimited(&g, &masks, c, per_center[j], |n, mk| {
+                    want[n.index()] += mk.count_ones();
+                });
+                assert_eq!(&counts[j * 8..(j + 1) * 8], &want[..], "center {j} ({c}) differs");
+            }
+            // The sweep accumulates: a second pass doubles every entry.
+            let before = counts.clone();
+            bfs.shared_component_counts(&g, &masks, &centers, &per_center, &mut counts);
+            for (a, b) in counts.iter().zip(before.iter()) {
+                assert_eq!(*a, b * 2);
+            }
         }
     }
 }

@@ -47,11 +47,13 @@ pub enum EngineKind {
     BitParallel,
     /// The bit-parallel backend plus **lazy per-block component-label
     /// finalization**: the first unlimited-depth row query against a
-    /// 64-world block materializes per-lane component labels (one
-    /// component-sharing fixpoint sweep per block) and caches them next to
-    /// the edge masks, so every later unlimited query over that block is
-    /// an O(n + members) label scan exactly like the scalar backend —
-    /// while generation and depth-limited queries stay pure bit-parallel.
+    /// block materializes per-lane component labels and per-node
+    /// giant-component lane masks (one component-sharing fixpoint sweep per
+    /// block) and caches them next to the edge masks, so every later row
+    /// over that block is one AND + popcount pass over the lanes where the
+    /// center is in the giant plus a mask traversal of its small components
+    /// elsewhere, and pairs are label compares — while generation and
+    /// depth-limited queries stay pure bit-parallel.
     #[default]
     Adaptive,
 }
@@ -141,10 +143,11 @@ pub struct EngineStats {
     /// labels with its masks, so a lane of a regenerated shard counts
     /// again when it re-finalizes.
     pub finalized_lanes: usize,
-    /// Unlimited block-queries served from finalized labels.
+    /// Unlimited block-queries whose lanes were all finalized (served from
+    /// giant masks and labels).
     pub label_queries: usize,
-    /// Unlimited block-queries served by mask BFS (block not finalized at
-    /// query time).
+    /// Unlimited block-queries served by mask BFS (some of their lanes not
+    /// finalized at query time).
     pub mask_queries: usize,
 }
 

@@ -1632,226 +1632,162 @@ impl WorldEngine for WorldPool<'_> {
     }
 }
 
-/// Finalized per-lane component labels of one mask block, at label width
-/// `L` — the structure that lets unlimited queries over the block run as
-/// O(n + members) label scans instead of mask BFS.
+/// Finalized per-lane component structure of one mask block — what lets
+/// unlimited queries over the block skip most of their mask traversal.
 ///
-/// Labels are stored node-major with stride `stride` = the block's lane
-/// capacity, `W · 64` for block width `W`
-/// (`labels[u * stride + l]` = `u`'s component in world `l`), so a
-/// center's per-lane labels and a pair's two label strips are contiguous
-/// loads. The membership index is a single CSR over `(lane, label)`
-/// buckets: members of component `c` of lane `l` are
-/// `order[starts[b]..starts[b + 1]]` with `b = lane_base[l] + c`.
+/// Two parts, both node-major:
+/// * `labels[u * LANES + l]` = `u`'s component in world `l` (`LANES` =
+///   `W · 64`, the block's lane capacity), stored at the label width
+///   picked for the pool's node count; a pair's two label strips are
+///   contiguous loads, so pair queries are O(lanes) label compares;
+/// * `giant[u]` lane `l` ⇔ `u` lies in world `l`'s **largest** component
+///   (the smallest label among equally large ones). In a lane where the
+///   center is in the giant, `u ~ center` ⇔ `giant[u]` has the lane, so a
+///   row over those lanes is one `n · W`-word AND + popcount pass; only
+///   the lanes where the center lies outside the giant — small components
+///   — still need a mask traversal.
 ///
 /// Lanes are labeled **append-only**: finalizing a partially filled block
 /// and topping it up later labels only the new lanes — already-labeled
-/// lanes are never recomputed (worlds are immutable once sampled).
+/// lanes (and their giant bits) are never recomputed (worlds are immutable
+/// once sampled).
 #[derive(Clone, Debug)]
-struct BlockLabels<L> {
-    /// Per-lane labels, node-major with stride `stride` (sized
-    /// `n · stride` up front so lane appends are in-place writes).
-    labels: Vec<L>,
-    /// Node ids grouped by `(lane, label)` bucket; lane `l` owns
-    /// `order[l * n..(l + 1) * n]`.
-    order: Vec<L>,
-    /// Cumulative bucket offsets into `order` (one terminator overall).
-    starts: Vec<u32>,
-    /// `lane_base[l]` = index of lane `l`'s first bucket in `starts`.
-    lane_base: Vec<u32>,
-    /// Lane capacity of the block (`W · 64`) — the node-major stride of
-    /// `labels`.
-    stride: u32,
+struct BlockLabels<const W: usize> {
+    /// Per-lane labels (sized `n · LANES` up front so lane appends are
+    /// in-place writes).
+    labels: LabelVec,
+    /// Per-node lanes of membership in the lane's largest component.
+    giant: Vec<Mask<W>>,
     /// Lanes labeled so far (a prefix of the block's lanes).
     labeled: u32,
 }
 
-impl<L: Label> BlockLabels<L> {
-    fn new(n: usize, stride: usize) -> Self {
+/// Block label storage at the width picked for the pool's node count.
+#[derive(Clone, Debug)]
+enum LabelVec {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl<const W: usize> BlockLabels<W> {
+    fn new(n: usize, wide: bool) -> Self {
+        let cells = n * Mask::<W>::LANES;
         BlockLabels {
-            labels: vec![L::from_u32(0); n * stride],
-            order: Vec::new(),
-            starts: vec![0],
-            lane_base: vec![0],
-            stride: stride as u32,
+            labels: if wide {
+                LabelVec::Wide(vec![0; cells])
+            } else {
+                LabelVec::Narrow(vec![0; cells])
+            },
+            giant: vec![Mask::ZERO; n],
             labeled: 0,
         }
     }
 
-    /// Heap bytes held by the label and membership structures.
+    /// Heap bytes held: `n · LANES` labels plus `n · W` giant-mask words.
     fn heap_bytes(&self) -> usize {
-        (self.labels.len() + self.order.len()) * std::mem::size_of::<L>()
-            + (self.starts.len() + self.lane_base.len()) * 4
+        let labels = match &self.labels {
+            LabelVec::Narrow(l) => std::mem::size_of_val(l.as_slice()),
+            LabelVec::Wide(l) => std::mem::size_of_val(l.as_slice()),
+        };
+        labels + std::mem::size_of_val(self.giant.as_slice())
     }
 
     /// Labels lanes `[self.labeled, target)` from the block's edge masks
-    /// with one component-sharing sweep, then appends their membership
-    /// buckets. Already-labeled lanes are untouched.
-    fn extend<const W: usize>(
+    /// with one component-sharing sweep and marks their giant components.
+    /// Already-labeled lanes are untouched.
+    fn extend(
         &mut self,
         graph: &UncertainGraph,
         bfs: &mut MultiWorldBfs<W>,
         masks: &[Mask<W>],
         target: usize,
     ) {
-        let n = graph.num_nodes();
-        let stride = self.stride as usize;
         let from = self.labeled as usize;
-        debug_assert_eq!(stride, Mask::<W>::LANES);
-        debug_assert!(from < target && target <= stride);
-        let new_mask = Mask::<W>::prefix(target).and_not(Mask::prefix(from));
-        let labels = &mut self.labels;
-        let counts = bfs.label_components(graph, masks, new_mask, |v, mask, next| {
-            let base = v.index() * stride;
-            mask.for_each_lane(|l| labels[base + l] = L::from_u32(next[l]));
-        });
-        // Append the new lanes' membership buckets (counting sort per lane).
-        self.order.resize((target - from) * n + self.order.len(), L::from_u32(0));
-        let mut sizes: Vec<u32> = Vec::new();
-        let mut cursor: Vec<u32> = Vec::new();
-        for l in from..target {
-            let nb = counts[l] as usize;
-            sizes.clear();
-            sizes.resize(nb, 0);
-            for u in 0..n {
-                sizes[self.labels[u * stride + l].index()] += 1;
-            }
-            let mut running =
-                *self.starts.last().unwrap_or_else(|| unreachable!("starts holds its terminator"));
-            cursor.clear();
-            for &s in &sizes {
-                cursor.push(running);
-                running += s;
-                self.starts.push(running);
-            }
-            for u in 0..n {
-                let c = self.labels[u * stride + l].index();
-                self.order[cursor[c] as usize] = L::from_u32(u as u32);
-                cursor[c] += 1;
-            }
-            let base = *self
-                .lane_base
-                .last()
-                .unwrap_or_else(|| unreachable!("lane_base holds its terminator"));
-            self.lane_base.push(base + nb as u32);
+        debug_assert!(from < target && target <= Mask::<W>::LANES);
+        match &mut self.labels {
+            LabelVec::Narrow(l) => label_lanes(l, &mut self.giant, graph, bfs, masks, from, target),
+            LabelVec::Wide(l) => label_lanes(l, &mut self.giant, graph, bfs, masks, from, target),
         }
         self.labeled = target as u32;
     }
 
-    /// Increments `counts[u]` for every member `u` of `center`'s component
-    /// in every lane selected by `lanes` — the finalized-block kernel of
-    /// the unlimited count queries (`lanes` must be ⊆ the labeled lanes).
+    /// Adds, for every node `u`, the number of lanes of `lanes` in which
+    /// `u` is in the giant component — `u`'s row over the lanes where the
+    /// center is in the giant (callers pass `giant[center] & labeled`).
     #[inline]
-    fn accumulate_center<const W: usize>(&self, center: usize, lanes: Mask<W>, counts: &mut [u32]) {
-        let stride = self.stride as usize;
-        let base = center * stride;
-        lanes.for_each_lane(|l| {
-            let b = (self.lane_base[l] + self.labels[base + l].index() as u32) as usize;
-            for &u in &self.order[self.starts[b] as usize..self.starts[b + 1] as usize] {
-                counts[u.index()] += 1;
+    fn add_giant_counts(&self, lanes: Mask<W>, counts: &mut [u32]) {
+        if lanes.any() {
+            for (c, &g) in counts.iter_mut().zip(&self.giant) {
+                *c += (g & lanes).count_ones();
             }
-        });
+        }
     }
 
     /// Number of lanes in `lanes` where `u` and `v` share a component
     /// (`lanes` must be ⊆ the labeled lanes).
     #[inline]
-    fn pair_lanes<const W: usize>(&self, u: usize, v: usize, lanes: Mask<W>) -> usize {
-        let stride = self.stride as usize;
-        let (bu, bv) = (u * stride, v * stride);
-        let mut hits = 0usize;
-        lanes.for_each_lane(|l| hits += usize::from(self.labels[bu + l] == self.labels[bv + l]));
-        hits
-    }
-
-    /// Exact label-scan cost of a batched query — the total member count
-    /// of every `(center, lane)` component bucket — for the
-    /// [`crate::tuning::labels_beat_shared_masks`] dispatch.
-    fn batch_label_ops<const W: usize>(&self, centers: &[NodeId], lanes: Mask<W>) -> usize {
-        let stride = self.stride as usize;
-        let mut ops = 0usize;
-        for c in centers {
-            let base = c.index() * stride;
-            lanes.for_each_lane(|l| {
-                let b = (self.lane_base[l] + self.labels[base + l].index() as u32) as usize;
-                ops += (self.starts[b + 1] - self.starts[b]) as usize;
-            });
+    fn pair_lanes(&self, u: usize, v: usize, lanes: Mask<W>) -> usize {
+        match &self.labels {
+            LabelVec::Narrow(l) => pair_hits(l, u, v, lanes),
+            LabelVec::Wide(l) => pair_hits(l, u, v, lanes),
         }
-        ops
     }
 }
 
-/// [`BlockLabels`] at the width picked for the pool's node count.
-#[derive(Clone, Debug)]
-enum BlockLabelsAny {
-    Narrow(BlockLabels<u16>),
-    Wide(BlockLabels<u32>),
+/// Lanes of `lanes` in which `u` and `v` carry equal labels.
+fn pair_hits<L: Label, const W: usize>(labels: &[L], u: usize, v: usize, lanes: Mask<W>) -> usize {
+    let (bu, bv) = (u * Mask::<W>::LANES, v * Mask::<W>::LANES);
+    let mut hits = 0usize;
+    lanes.for_each_lane(|l| hits += usize::from(labels[bu + l] == labels[bv + l]));
+    hits
 }
 
-impl BlockLabelsAny {
-    fn new(n: usize, wide: bool, stride: usize) -> Self {
-        if wide {
-            BlockLabelsAny::Wide(BlockLabels::new(n, stride))
-        } else {
-            BlockLabelsAny::Narrow(BlockLabels::new(n, stride))
+/// Labels lanes `[from, target)` of a block (node-major `labels`, stride
+/// `W · 64`) and ORs each new lane's largest component into `giant`.
+fn label_lanes<L: Label, const W: usize>(
+    labels: &mut [L],
+    giant: &mut [Mask<W>],
+    graph: &UncertainGraph,
+    bfs: &mut MultiWorldBfs<W>,
+    masks: &[Mask<W>],
+    from: usize,
+    target: usize,
+) {
+    let stride = Mask::<W>::LANES;
+    let new_lanes = Mask::<W>::prefix(target).and_not(Mask::prefix(from));
+    let counts = bfs.label_components(graph, masks, new_lanes, |v, mask, next| {
+        let base = v.index() * stride;
+        mask.for_each_lane(|l| labels[base + l] = L::from_u32(next[l]));
+    });
+    // Component sizes of every new lane in one node-major pass over the
+    // label strips, `sizes[offset[i] + c]` for lane `from + i`.
+    let mut offset = Vec::with_capacity(target - from);
+    let mut total = 0usize;
+    for &c in &counts[from..target] {
+        offset.push(total);
+        total += c as usize;
+    }
+    let mut sizes = vec![0u32; total];
+    for row in labels.chunks_exact(stride) {
+        for (&c, &o) in row[from..target].iter().zip(&offset) {
+            sizes[o + c.index()] += 1;
         }
     }
-
-    #[inline]
-    fn labeled(&self) -> u32 {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.labeled,
-            BlockLabelsAny::Wide(l) => l.labeled,
+    let biggest: Vec<usize> = offset
+        .iter()
+        .zip(&counts[from..target])
+        .map(|(&o, &c)| {
+            let s = &sizes[o..o + c as usize];
+            (1..s.len()).fold(0, |best, c| if s[c] > s[best] { c } else { best })
+        })
+        .collect();
+    for (row, g) in labels.chunks_exact(stride).zip(giant) {
+        let mut words = [0u64; W];
+        for (i, (&c, &b)) in row[from..target].iter().zip(&biggest).enumerate() {
+            let l = from + i;
+            words[l / LANES] |= u64::from(c.index() == b) << (l % LANES);
         }
-    }
-
-    /// Lane mask of the labeled prefix.
-    #[inline]
-    fn labeled_mask<const W: usize>(&self) -> Mask<W> {
-        Mask::prefix(self.labeled() as usize)
-    }
-
-    fn extend<const W: usize>(
-        &mut self,
-        graph: &UncertainGraph,
-        bfs: &mut MultiWorldBfs<W>,
-        masks: &[Mask<W>],
-        target: usize,
-    ) {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.extend(graph, bfs, masks, target),
-            BlockLabelsAny::Wide(l) => l.extend(graph, bfs, masks, target),
-        }
-    }
-
-    #[inline]
-    fn accumulate_center<const W: usize>(&self, center: usize, lanes: Mask<W>, counts: &mut [u32]) {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.accumulate_center(center, lanes, counts),
-            BlockLabelsAny::Wide(l) => l.accumulate_center(center, lanes, counts),
-        }
-    }
-
-    #[inline]
-    fn pair_lanes<const W: usize>(&self, u: usize, v: usize, lanes: Mask<W>) -> usize {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.pair_lanes(u, v, lanes),
-            BlockLabelsAny::Wide(l) => l.pair_lanes(u, v, lanes),
-        }
-    }
-
-    fn batch_label_ops<const W: usize>(&self, centers: &[NodeId], lanes: Mask<W>) -> usize {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.batch_label_ops(centers, lanes),
-            BlockLabelsAny::Wide(l) => l.batch_label_ops(centers, lanes),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            BlockLabelsAny::Narrow(l) => l.heap_bytes(),
-            BlockLabelsAny::Wide(l) => l.heap_bytes(),
-        }
+        *g |= Mask(words);
     }
 }
 
@@ -1860,10 +1796,8 @@ impl BlockLabelsAny {
 /// touched blocks eagerly, **pair** queries convert a block only after
 /// repeated hits ([`finalize_on_unlimited_query`]). Multi-center batches
 /// never go through the prologue — they neither finalize nor count toward
-/// the threshold (on finalized blocks the cost model often prefers the
-/// mask sharing sweep, so batch traffic is no evidence labels would pay
-/// off); they dispatch via [`crate::tuning::labels_beat_shared_masks`] on
-/// blocks other traffic finalized.
+/// the threshold; on blocks other traffic finalized they start each
+/// center's sharing sweep from its non-giant lanes only.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum UnlimitedShape {
     Row,
@@ -1878,10 +1812,10 @@ struct MaskBlock<const W: usize> {
     /// Number of valid lanes (worlds) in this block; only the last block
     /// of a pool can be partial.
     lanes: u32,
-    /// Lazily finalized component labels (adaptive mode only); covers the
-    /// first `labels.labeled()` lanes, never invalidated — a lane top-up
-    /// extends the labels, it does not recompute them.
-    labels: Option<BlockLabelsAny>,
+    /// Lazily finalized component labels and giant masks (adaptive mode
+    /// only); covers the first `labels.labeled` lanes, never invalidated —
+    /// a lane top-up extends the labels, it does not recompute them.
+    labels: Option<BlockLabels<W>>,
     /// Mask-path unlimited point queries absorbed while unfinalized — the
     /// input of [`finalize_on_unlimited_query`].
     mask_queries: u32,
@@ -1891,16 +1825,16 @@ impl<const W: usize> MaskBlock<W> {
     /// Heap bytes held by the block's masks and finalized labels.
     fn heap_bytes(&self) -> usize {
         self.masks.len() * std::mem::size_of::<Mask<W>>()
-            + self.labels.as_ref().map_or(0, BlockLabelsAny::heap_bytes)
+            + self.labels.as_ref().map_or(0, BlockLabels::heap_bytes)
     }
 
-    /// Splits a query's lane selection into (served-from-labels,
-    /// served-by-mask-BFS) parts.
+    /// Splits a query's lane selection into its (labeled, unlabeled)
+    /// parts.
     #[inline]
     fn split_lanes(&self, query: Mask<W>) -> (Mask<W>, Mask<W>) {
         match &self.labels {
             Some(l) => {
-                let labeled = l.labeled_mask();
+                let labeled = Mask::prefix(l.labeled as usize);
                 (query & labeled, query.and_not(labeled))
             }
             None => (Mask::ZERO, query),
@@ -1964,9 +1898,6 @@ pub struct BitParallelPool<'g, const W: usize = 1> {
     /// Reusable `(block, lane mask)` work-item buffer of the ranged query
     /// paths (allocation-free single-row queries).
     items: Vec<(u32, Mask<W>)>,
-    /// Reusable `(block, label lanes, mask lanes)` dispatch plan of the
-    /// batched unlimited queries.
-    batch_plan: Vec<(u32, Mask<W>, Mask<W>)>,
     /// Lazy per-block component-label finalization
     /// ([`crate::EngineKind::Adaptive`]): off = pure-mask backend.
     adaptive: bool,
@@ -1996,7 +1927,6 @@ impl<const W: usize> Clone for BitParallelPool<'_, W> {
             config: self.config.clone(),
             bfs: self.bfs.clone(),
             items: self.items.clone(),
-            batch_plan: self.batch_plan.clone(),
             adaptive: self.adaptive,
             wide: self.wide,
             stats: self.stats,
@@ -2029,7 +1959,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             config: ThreadConfig::new(threads),
             bfs: MultiWorldBfs::new(graph.num_nodes()),
             items: Vec::new(),
-            batch_plan: Vec::new(),
             adaptive: false,
             wide: !narrow_fits(graph.num_nodes()),
             stats: EngineStats::default(),
@@ -2049,13 +1978,15 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
 
     /// Enables or disables lazy block finalization: with it on, the first
     /// unlimited-depth row query against a block materializes per-lane
-    /// component labels (one component-sharing fixpoint sweep, cached next
-    /// to the edge masks) and every later unlimited query over the block
-    /// runs as an O(n + members) label scan; point queries convert a block
-    /// only after repeated mask-path hits
+    /// component labels and giant-component lane masks (one
+    /// component-sharing fixpoint sweep, cached next to the edge masks);
+    /// every later row over the block counts the center's giant lanes with
+    /// one AND + popcount pass and traverses only its small components,
+    /// and pairs compare labels. Point queries convert a block only after
+    /// repeated mask-path hits
     /// ([`crate::tuning::finalize_on_unlimited_query`]). Counts are
-    /// identical either way — finalization trades label memory
-    /// (≈ one scalar component row per world) for mask traversals.
+    /// identical either way — finalization trades memory (one label per
+    /// node and world plus one giant bit) for mask traversals.
     /// Disabling drops existing labels.
     pub fn with_finalization(mut self, adaptive: bool) -> Self {
         self.adaptive = adaptive;
@@ -2257,16 +2188,12 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         }
         let graph = self.sampler.graph();
         let n = graph.num_nodes();
-        // CSR offsets into the block-label membership index are u32.
-        if n.saturating_mul(Self::BLOCK_LANES) > u32::MAX as usize {
-            return;
-        }
         let bps = blocks_per_shard::<W>();
         let (mut label_q, mut mask_q) = (0usize, 0usize);
         let mut todo: Vec<usize> = Vec::new();
         for b in lo / Self::BLOCK_LANES..=(hi - 1) / Self::BLOCK_LANES {
             let block = &mut self.shards[b / bps].blocks[b % bps];
-            let labeled = block.labels.as_ref().map_or(0, BlockLabelsAny::labeled) as usize;
+            let labeled = block.labels.as_ref().map_or(0, |l| l.labeled) as usize;
             if labeled >= block.lanes as usize {
                 label_q += 1;
             } else if finalize_on_unlimited_query(shape == UnlimitedShape::Row, block.mask_queries)
@@ -2295,14 +2222,14 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             .collect();
         if fresh.len() > 1 && self.config.parallel_generation(fresh.len() * Self::BLOCK_LANES) {
             let shards: &[BlockShard<W>] = &self.shards;
-            let built: Vec<(usize, BlockLabelsAny)> = self.config.run(|| {
+            let built: Vec<(usize, BlockLabels<W>)> = self.config.run(|| {
                 fresh
                     .par_iter()
                     .map_init(
                         || MultiWorldBfs::<W>::new(n),
                         |bfs, &b| {
                             let block = shard_block(shards, b);
-                            let mut labels = BlockLabelsAny::new(n, wide, Self::BLOCK_LANES);
+                            let mut labels = BlockLabels::new(n, wide);
                             labels.extend(graph, bfs, &block.masks, block.lanes as usize);
                             (b, labels)
                         },
@@ -2311,7 +2238,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             });
             for (b, labels) in built {
                 self.stats.finalized_blocks += 1;
-                self.stats.finalized_lanes += labels.labeled() as usize;
+                self.stats.finalized_lanes += labels.labeled as usize;
                 self.shards[b / bps].blocks[b % bps].labels = Some(labels);
             }
         }
@@ -2319,9 +2246,8 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         // attached are fully labeled and fall through both updates.
         for &b in &todo {
             let block = &mut self.shards[b / bps].blocks[b % bps];
-            let labels =
-                block.labels.get_or_insert_with(|| BlockLabelsAny::new(n, wide, Self::BLOCK_LANES));
-            let before = labels.labeled() as usize;
+            let labels = block.labels.get_or_insert_with(|| BlockLabels::new(n, wide));
+            let before = labels.labeled as usize;
             if before == 0 {
                 self.stats.finalized_blocks += 1;
             }
@@ -2426,9 +2352,11 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     }
 
     /// For every node `u`, the number of samples in which `u` is connected
-    /// to `center` — per 64-world block, an O(n + members) label scan when
-    /// the block is finalized (adaptive mode), otherwise one
-    /// connectivity-fixpoint traversal popcounting the final reach masks.
+    /// to `center` — per block, one connectivity-fixpoint traversal
+    /// popcounting the final reach masks; on a finalized block (adaptive
+    /// mode) the lanes where the center is in the giant component are
+    /// counted from the giant masks instead and the traversal covers only
+    /// the rest.
     ///
     /// # Panics
     /// Panics if `out.len() != n`.
@@ -2494,90 +2422,62 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         if !self.resolve_range(lo, hi) {
             return;
         }
-        // Plan the per-block dispatch serially (batches never finalize —
-        // that is the single-row/pair paths' job): a fully labeled block
-        // goes to label scans only when the exact cost model prefers them
-        // over the sharing sweep; a block with any unlabeled lanes runs
-        // the sweep for *all* its lanes, because the traversal must run
-        // anyway and folding labeled lanes into it is nearly free. Doing
-        // this up front keeps the stats exact — a batch block-query counts
-        // as label-served only if labels actually serve it.
+        // Batches never finalize (that is the single-row/pair paths' job);
+        // a block-query counts as label-served when every lane it covers
+        // is labeled.
         let mut items = std::mem::take(&mut self.items);
         Self::range_blocks_into(lo, hi, &mut items);
-        let mut plan = std::mem::take(&mut self.batch_plan);
-        plan.clear();
-        let (mut label_q, mut mask_q) = (0usize, 0usize);
-        for &(b, lanes) in &items {
-            let block = shard_block(&self.shards, b as usize);
-            let (labeled, masked) = block.split_lanes(lanes);
-            let use_labels = masked.is_zero()
-                && labeled.any()
-                && block.labels.as_ref().is_some_and(|labels| {
-                    crate::tuning::labels_beat_shared_masks(
-                        labels.batch_label_ops(centers, labeled),
-                        n,
-                        self.graph().num_edges(),
-                        k,
-                        W,
-                    )
-                });
-            if use_labels {
-                label_q += 1;
-                plan.push((b, labeled, Mask::ZERO));
-            } else {
-                mask_q += 1;
-                plan.push((b, Mask::ZERO, lanes));
-            }
-        }
         if self.adaptive {
-            self.stats.label_queries += label_q;
-            self.stats.mask_queries += mask_q;
+            for &(b, lanes) in &items {
+                if shard_block(&self.shards, b as usize).split_lanes(lanes).1.is_zero() {
+                    self.stats.label_queries += 1;
+                } else {
+                    self.stats.mask_queries += 1;
+                }
+            }
         }
         let run = self.run.clone();
         let BitParallelPool { sampler, shards, config, bfs, .. } = self;
         let graph = sampler.graph();
         let shards: &[BlockShard<W>] = shards;
         let per_block = n + 2 * graph.num_edges();
-        // The per-center "worlds still unknown" masks and the (node, mask)
-        // reach list of the sharing sweep live inside the BFS workspace, so
-        // warm batches allocate nothing per block.
+        // The reach list of the sharing sweep lives inside the BFS
+        // workspace, so warm batches allocate only the per-center lane
+        // masks, once per chunk.
         chunked_counts_with(
             config,
-            &plan,
+            &items,
             k * n,
             per_block + k * n,
             bfs,
             || MultiWorldBfs::<W>::new(n),
-            |counts, bfs, plan: &[(u32, Mask<W>, Mask<W>)]| {
-                for &(b, labeled, masked) in plan {
+            |counts, bfs, items: &[(u32, Mask<W>)]| {
+                let mut todo = Vec::with_capacity(k);
+                for &(b, lanes) in items {
                     if run.checkpoint(SamplingPhase::Sweep) {
                         return;
                     }
                     let block = shard_block(shards, b as usize);
-                    if labeled.any() {
-                        let labels = block
-                            .labels
-                            .as_ref()
-                            .unwrap_or_else(|| unreachable!("planned labels exist"));
-                        for (j, c) in centers.iter().enumerate() {
-                            labels.accumulate_center(
-                                c.index(),
-                                labeled,
-                                &mut counts[j * n..(j + 1) * n],
-                            );
+                    let (labeled, masked) = block.split_lanes(lanes);
+                    todo.clear();
+                    match &block.labels {
+                        // Each center's giant lanes are one popcount pass;
+                        // the sweep covers its other lanes.
+                        Some(labels) if labeled.any() => {
+                            for (j, c) in centers.iter().enumerate() {
+                                let inside = labels.giant[c.index()] & labeled;
+                                labels.add_giant_counts(inside, &mut counts[j * n..(j + 1) * n]);
+                                todo.push(masked | labeled.and_not(inside));
+                            }
                         }
+                        _ => todo.resize(k, lanes),
                     }
-                    if masked.is_zero() {
-                        continue;
-                    }
-                    // Mask lanes: component-sharing traversal sweep.
-                    bfs.shared_component_counts(graph, &block.masks, centers, masked, counts);
+                    bfs.shared_component_counts(graph, &block.masks, centers, &todo, counts);
                 }
             },
             out,
         );
         self.items = items;
-        self.batch_plan = plan;
         self.trim_to_budget();
     }
 
@@ -2622,13 +2522,13 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
                         return;
                     }
                     let block = shard_block(shards, b as usize);
-                    let (labeled, masked) = block.split_lanes(mask);
-                    if labeled.any() {
-                        let labels = block
-                            .labels
-                            .as_ref()
-                            .unwrap_or_else(|| unreachable!("labeled lanes imply labels"));
-                        labels.accumulate_center(center.index(), labeled, counts);
+                    let (labeled, mut masked) = block.split_lanes(mask);
+                    if let Some(labels) = &block.labels {
+                        // Lanes where the center is in the giant are one
+                        // popcount pass; the rest join the traversal.
+                        let inside = labels.giant[center.index()] & labeled;
+                        labels.add_giant_counts(inside, counts);
+                        masked |= labeled.and_not(inside);
                     }
                     if masked.any() {
                         bfs.run_unlimited(graph, &block.masks, center, masked, |node, m| {
@@ -3929,5 +3829,103 @@ mod tests {
             }
         }
         assert_eq!(acc, full, "disjoint ranged batches must add up to the full batch");
+    }
+
+    /// Block `b`'s finalized structure (the block must be finalized).
+    fn finalized<'p, const W: usize>(
+        pool: &'p BitParallelPool<'_, W>,
+        b: usize,
+    ) -> &'p BlockLabels<W> {
+        shard_block(&pool.shards, b).labels.as_ref().expect("block is finalized")
+    }
+
+    #[test]
+    fn finalized_block_bytes_are_labels_plus_giant_masks() {
+        fn check<const W: usize>(wide: bool) {
+            let g = chain(11, 0.5);
+            let (n, m) = (11, g.num_edges());
+            let lanes = Mask::<W>::LANES;
+            let ledger = MemoryBudget::unbounded();
+            let mut pool = BitParallelPool::<W>::new_adaptive(&g, 4, 1).with_wide_labels(wide);
+            pool.set_memory_budget(ledger.clone());
+            // One full block and a partial trailing one.
+            pool.ensure(lanes + 20);
+            let mask_bytes = m * W * 8;
+            assert_eq!(ledger.bytes_held(), 2 * mask_bytes, "masks only before finalization");
+            let label_bytes = n * lanes * if wide { 4 } else { 2 };
+            let giant_bytes = n * W * 8;
+            let mut row = vec![0u32; n];
+            // Finalize both blocks, then top the partial one up and extend
+            // its labels: the label storage is sized for a full block up
+            // front, so the extension changes no byte count.
+            for r in [lanes + 20, lanes + 50] {
+                pool.ensure(r);
+                pool.counts_from_center(NodeId(3), &mut row);
+                for b in 0..2 {
+                    assert_eq!(finalized(&pool, b).heap_bytes(), label_bytes + giant_bytes);
+                    assert_eq!(
+                        shard_block(&pool.shards, b).heap_bytes(),
+                        mask_bytes + label_bytes + giant_bytes
+                    );
+                }
+                let want = 2 * (mask_bytes + label_bytes + giant_bytes);
+                assert_eq!(pool.memory_stats().bytes_held, want, "width {W}, {r} samples");
+                assert_eq!(ledger.bytes_held(), want, "ledger, width {W}, {r} samples");
+            }
+        }
+        for wide in [false, true] {
+            check::<1>(wide);
+            check::<4>(wide);
+            check::<8>(wide);
+        }
+    }
+
+    #[test]
+    fn giant_masks_mark_largest_components_and_extend_append_only() {
+        // A certain triangle, a certain pair, and uncertain links between
+        // them: largest components change from world to world and tie in
+        // some (triangle + pair bridged vs. not, node 5 attached or not).
+        let mut b = GraphBuilder::new(7);
+        for (u, v, p) in [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0)] {
+            b.add_edge(u, v, p).unwrap();
+        }
+        for (u, v, p) in [(2, 3, 0.3), (4, 5, 0.5), (5, 6, 0.4)] {
+            b.add_edge(u, v, p).unwrap();
+        }
+        let g = b.build().unwrap();
+        let n = g.num_nodes();
+        let mut scalar = ComponentPool::new(&g, 13, 1);
+        scalar.ensure(200);
+        let mut pool = BitParallelPool::<4>::new_adaptive(&g, 13, 1);
+        let mut row = vec![0u32; n];
+        pool.ensure(70);
+        pool.counts_from_center(NodeId(0), &mut row);
+        let before = finalized(&pool, 0).giant.clone();
+        pool.ensure(200);
+        pool.counts_from_center(NodeId(0), &mut row);
+        let labels = finalized(&pool, 0);
+        assert_eq!(labels.labeled, 200);
+        let old = Mask::<4>::prefix(70);
+        for (u, (&now, &was)) in labels.giant.iter().zip(&before).enumerate() {
+            assert_eq!(now & old, was, "node {u}: old lanes' giant bits moved");
+        }
+        // Every lane's giant bits select exactly one largest component.
+        for l in 0..200 {
+            let comp = scalar.labels(l);
+            let mut sizes = vec![0usize; n];
+            for &c in &comp {
+                sizes[c as usize] += 1;
+            }
+            let members: Vec<usize> = (0..n).filter(|&u| labels.giant[u].get(l)).collect();
+            assert!(!members.is_empty(), "lane {l} has no giant");
+            assert!(members.iter().all(|&u| comp[u] == comp[members[0]]), "lane {l}");
+            assert_eq!(members.len(), sizes.iter().copied().max().unwrap_or(0), "lane {l}");
+            assert_eq!(members.len(), sizes[comp[members[0]] as usize], "lane {l}");
+        }
+        // A block finalized in one go marks the same giants.
+        let mut fresh = BitParallelPool::<4>::new_adaptive(&g, 13, 1);
+        fresh.ensure(200);
+        fresh.counts_from_center(NodeId(0), &mut row);
+        assert_eq!(finalized(&fresh, 0).giant, labels.giant);
     }
 }

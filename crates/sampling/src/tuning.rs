@@ -32,12 +32,13 @@ pub const MIN_PARALLEL_WORK: usize = 1 << 16;
 /// backend finalizes its component labels anyway.
 ///
 /// Rationale: finalizing a block costs roughly one connectivity-fixpoint
-/// sweep over every component (≈ 2–3 single-source mask traversals) plus an
-/// `O(64·n)` bucket sort, while a *single* pair query costs one traversal —
-/// so a cold pair query should never pay full-block labeling. From the
-/// third pair query on, labeling would already have been cheaper in
-/// hindsight (finalized pair lookups are O(lanes) label compares), so the
-/// heuristic converts the block at that point.
+/// sweep over every component (≈ 2–3 single-source mask traversals) plus
+/// two node-major passes over the new lanes' labels (component sizes, then
+/// the giant-component masks), while a *single* pair query costs one
+/// traversal — so a cold pair query should never pay full-block labeling.
+/// From the third pair query on, labeling would already have been cheaper
+/// in hindsight (finalized pair lookups are O(lanes) label compares), so
+/// the heuristic converts the block at that point.
 pub const FINALIZE_AFTER_MASK_QUERIES: u32 = 2;
 
 /// Decides whether an unlimited-depth query against a not-yet-finalized
@@ -54,33 +55,6 @@ pub const FINALIZE_AFTER_MASK_QUERIES: u32 = 2;
 #[inline]
 pub fn finalize_on_unlimited_query(full_row: bool, prior_mask_queries: u32) -> bool {
     full_row || prior_mask_queries >= FINALIZE_AFTER_MASK_QUERIES
-}
-
-/// Cost model deciding whether a **batched** multi-center unlimited query
-/// over a finalized block should scan component labels or run the mask
-/// component-sharing sweep.
-///
-/// Label scans cost one increment per (center, lane, member) —
-/// `label_ops`, computable exactly from the finalized bucket sizes with
-/// `k · lanes` lookups — independent of the block width. The sharing
-/// sweep costs roughly one fixpoint traversal (`n + 2m` mask ops) plus
-/// one AND+popcount inherit pass per center (`k · n`), each op touching
-/// `words` `u64`s (the block width `W`) but answering `words · 64` worlds
-/// at once. On supercritical instances (giant components,
-/// `label_ops ≈ lanes · k · n`) sharing wins decisively; on shattered
-/// subcritical blocks (`label_ops ≪ k · n`) the label scans win. Single
-/// rows and pair queries always prefer labels — with `k = 1` there is
-/// nothing for the traversal to amortize across. This gate only picks a
-/// strategy; both sides produce identical counts.
-#[inline]
-pub fn labels_beat_shared_masks(
-    label_ops: usize,
-    n: usize,
-    m: usize,
-    k: usize,
-    words: usize,
-) -> bool {
-    label_ops < (n + 2 * m + k * n) * words
 }
 
 /// A backend's rayon configuration, resolved **once** at pool

@@ -786,3 +786,176 @@ proptest! {
         prop_assert!(w8.memory_stats().shards_evicted > 0);
     }
 }
+
+/// Graphs that stress the adaptive engine's giant-component row kernel
+/// (rows count the center's giant lanes by popcount and traverse the
+/// rest), each paired with the property that makes it a stress case.
+fn giant_kernel_graphs() -> Vec<(&'static str, UncertainGraph)> {
+    let build = |n: usize, edges: &[(u32, u32, f64)]| {
+        let mut b = GraphBuilder::new(n);
+        for &(u, v, p) in edges {
+            b.add_edge(u, v, p).unwrap();
+        }
+        b.build().unwrap()
+    };
+    let clique = |nodes: std::ops::Range<u32>, p: f64| {
+        let mut edges = Vec::new();
+        for u in nodes.clone() {
+            for v in u + 1..nodes.end {
+                edges.push((u, v, p));
+            }
+        }
+        edges
+    };
+    // Two certain 4-cliques joined by a coin-flip bridge: every world
+    // without the bridge (and without node 8's coin-flip edge) has two
+    // equally large components.
+    let mut tied = clique(0..4, 1.0);
+    tied.extend(clique(4..8, 1.0));
+    tied.extend([(3, 4, 0.5), (0, 8, 0.3)]);
+    // A certain 5-clique (the giant of every world) with an uncertain tail
+    // 5-6-7 and an isolated node 8: tail centers lie outside the giant in
+    // the worlds where their path to the clique is cut.
+    let mut tail = clique(0..5, 1.0);
+    tail.extend([(4, 5, 0.5), (5, 6, 0.6), (6, 7, 0.7)]);
+    vec![
+        ("tied giants", build(9, &tied)),
+        ("center outside the giant", build(9, &tail)),
+        ("edgeless (all singletons)", build(7, &[])),
+        ("sparse uncertain clique", build(8, &clique(0..8, 0.04))),
+    ]
+}
+
+/// Whether some world of the first `r` has two largest components of
+/// equal size, and whether some node lies outside a largest component.
+fn giant_cases(g: &UncertainGraph, seed: u64, r: usize) -> (bool, bool) {
+    let mut scalar = ComponentPool::new(g, seed, 1);
+    scalar.ensure(r);
+    let (mut tie, mut outside) = (false, false);
+    for i in 0..r {
+        let labels = scalar.labels(i);
+        let mut sizes = vec![0usize; labels.len()];
+        for &l in &labels {
+            sizes[l as usize] += 1;
+        }
+        let max = sizes.iter().copied().max().unwrap_or(0);
+        tie |= sizes.iter().filter(|&&s| s == max).count() > 1;
+        outside |= labels.iter().any(|&l| sizes[l as usize] < max);
+    }
+    (tie, outside)
+}
+
+/// Runs rows, ranged rows, batched rows (whole pool and new window) and
+/// pairs on an adaptive pool of width `W` after every growth step and
+/// checks each against the scalar `ComponentPool`. Batches run before the
+/// step's rows, so they see the grown trailing block partially labeled;
+/// the rows then extend its labels append-only.
+fn assert_giant_kernel_matches_scalar<'g, const W: usize>(
+    g: &'g UncertainGraph,
+    seed: u64,
+    steps: &[usize],
+    threads: usize,
+    budget: Option<usize>,
+) -> BitParallelPool<'g, W> {
+    let n = g.num_nodes();
+    let mut centers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+    centers.push(NodeId(0)); // a duplicate center shares every traversal
+    let k = centers.len();
+    let mut scalar = ComponentPool::new(g, seed, 1);
+    let mut pool = BitParallelPool::<W>::new_adaptive(g, seed, threads);
+    if let Some(bytes) = budget {
+        pool.set_memory_budget(MemoryBudget::bounded(bytes));
+    }
+    let (mut want, mut got) = (vec![0u32; k * n], vec![0u32; k * n]);
+    let mut reached = 0usize;
+    for &s in steps {
+        let lo = reached;
+        reached += s;
+        scalar.ensure(reached);
+        pool.ensure(reached);
+        let at = format!("width {}, {} samples", W * 64, reached);
+        scalar.counts_from_centers(&centers, &mut want);
+        pool.counts_from_centers(&centers, &mut got);
+        assert_eq!(want, got, "batch before rows, {at}");
+        for &c in &centers[..n] {
+            scalar.counts_from_center(c, &mut want[..n]);
+            pool.counts_from_center(c, &mut got[..n]);
+            assert_eq!(want[..n], got[..n], "row {c}, {at}");
+            scalar.counts_from_center_range(c, lo, reached, &mut want[..n]);
+            pool.counts_from_center_range(c, lo, reached, &mut got[..n]);
+            assert_eq!(want[..n], got[..n], "ranged row {c} on [{lo}, {reached}), {at}");
+            assert_eq!(
+                scalar.pair_count(centers[0], c),
+                pool.pair_count(centers[0], c),
+                "pair (0, {c}), {at}"
+            );
+        }
+        scalar.counts_from_centers(&centers, &mut want);
+        pool.counts_from_centers(&centers, &mut got);
+        assert_eq!(want, got, "batch after rows, {at}");
+        scalar.counts_from_centers_range(&centers, lo, reached, &mut want);
+        pool.counts_from_centers_range(&centers, lo, reached, &mut got);
+        assert_eq!(want, got, "ranged batch on [{lo}, {reached}), {at}");
+    }
+    pool
+}
+
+/// Growth steps that leave partial trailing blocks at every width and
+/// top them up (64-wide blocks fill and spill; 256/512-wide blocks are
+/// extended several times).
+const GIANT_STEPS: [usize; 4] = [40, 30, 150, 300];
+
+#[test]
+fn giant_kernel_stress_graphs_cover_their_cases() {
+    let graphs = giant_kernel_graphs();
+    let r: usize = GIANT_STEPS.iter().sum();
+    assert_eq!(giant_cases(&graphs[0].1, 7, r), (true, true), "tied giants");
+    assert!(giant_cases(&graphs[1].1, 7, r).1, "center outside the giant");
+    assert_eq!(giant_cases(&graphs[2].1, 7, r), (true, false), "every component a singleton");
+    assert!(giant_cases(&graphs[3].1, 7, r).0, "subcritical ties");
+}
+
+#[test]
+fn giant_kernel_matches_scalar_at_every_width() {
+    for (name, g) in giant_kernel_graphs() {
+        for (seed, threads) in [(7u64, 1usize), (8, 3)] {
+            let p1 = assert_giant_kernel_matches_scalar::<1>(&g, seed, &GIANT_STEPS, threads, None);
+            let p4 = assert_giant_kernel_matches_scalar::<4>(&g, seed, &GIANT_STEPS, threads, None);
+            let p8 = assert_giant_kernel_matches_scalar::<8>(&g, seed, &GIANT_STEPS, threads, None);
+            // Append-only top-ups: each lane is labeled exactly once.
+            let r: usize = GIANT_STEPS.iter().sum();
+            let lanes = [&p1.engine_stats(), &p4.engine_stats(), &p8.engine_stats()];
+            for lanes in lanes.map(|s| s.finalized_lanes) {
+                assert_eq!(lanes, r, "{name}: lanes relabeled or skipped");
+            }
+        }
+    }
+}
+
+#[test]
+fn giant_kernel_matches_scalar_when_finalized_shards_regenerate() {
+    let steps = [700, 700, 700];
+    let r: usize = steps.iter().sum();
+    for (name, g) in giant_kernel_graphs() {
+        // Bits per world of a finalized shard: edge masks, u16 labels and
+        // one giant bit per node. The budget holds about one and a half of
+        // the pool's three shards.
+        let (n, m) = (g.num_nodes(), g.num_edges());
+        let shard = SHARD_WORLDS * (m + 17 * n) / 8;
+        let budget = Some(shard * 3 / 2);
+        let p1 = assert_giant_kernel_matches_scalar::<1>(&g, 5, &steps, 1, budget);
+        let p4 = assert_giant_kernel_matches_scalar::<4>(&g, 5, &steps, 3, budget);
+        let p8 = assert_giant_kernel_matches_scalar::<8>(&g, 5, &steps, 1, budget);
+        for (width, memory, engine) in [
+            (64, p1.memory_stats(), p1.engine_stats()),
+            (256, p4.memory_stats(), p4.engine_stats()),
+            (512, p8.memory_stats(), p8.engine_stats()),
+        ] {
+            assert!(memory.shards_evicted > 0, "{name}, width {width}: {memory:?}");
+            assert!(memory.shards_regenerated > 0, "{name}, width {width}: {memory:?}");
+            // More lanes labeled than sampled: finalized shards were
+            // evicted, regenerated and finalized again.
+            assert!(engine.finalized_lanes > r, "{name}, width {width}: {engine:?}");
+        }
+    }
+}
