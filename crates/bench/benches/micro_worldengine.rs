@@ -1,5 +1,6 @@
-//! Scalar vs. bit-parallel `WorldEngine` backends on the Krogan-like PPI
-//! instance — the microbenchmark behind the backend seam.
+//! Scalar vs. adaptive `WorldEngine` backends on the Krogan-like PPI
+//! instance — the microbenchmark behind the backend seam. The adaptive
+//! pool runs at the production width of 256 worlds per block.
 //!
 //! Before any timing, an **equality gate** asserts that both backends
 //! return identical center counts and depth counts for the same master
@@ -7,7 +8,7 @@
 //! meaningless.
 //!
 //! Besides the criterion groups, the bench emits machine-readable results
-//! (median ns per operation and scalar/bit-parallel speedups) to
+//! (median ns per operation and scalar/adaptive speedups) to
 //! `BENCH_worldengine.json` in the repository root, so the performance
 //! trajectory of the engine accumulates across PRs. Set `BENCH_SMOKE=1`
 //! for a fast CI smoke run (equality gates on, minimal sampling).
@@ -22,6 +23,9 @@ use ugraph_cluster::{
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::NodeId;
 use ugraph_sampling::{BitParallelPool, ComponentPool, EngineKind, McOracle, Oracle, WorldPool};
+
+/// The adaptive pool at its production width (256 worlds per block).
+type AdaptivePool<'g> = BitParallelPool<'g, 4>;
 
 fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0")
@@ -46,22 +50,22 @@ fn equality_gate(graph: &ugraph_graph::UncertainGraph, samples: usize) {
     let n = graph.num_nodes();
     let mut scalar = ComponentPool::new(graph, SEED, 1);
     let mut world = WorldPool::new(graph, SEED, 1);
-    let mut bit = BitParallelPool::<1>::new(graph, SEED, 1);
+    let mut adaptive = AdaptivePool::new_adaptive(graph, SEED, 1);
     scalar.ensure(samples);
     world.ensure(samples);
-    bit.ensure(samples);
+    adaptive.ensure(samples);
     let mut a = vec![0u32; n];
     let mut b = vec![0u32; n];
     for center in (0..n as u32).step_by(211) {
         scalar.counts_from_center(NodeId(center), &mut a);
-        bit.counts_from_center(NodeId(center), &mut b);
+        adaptive.counts_from_center(NodeId(center), &mut b);
         assert_eq!(a, b, "backends disagree on center counts at {center} ({samples} samples)");
     }
     let (mut s1, mut c1) = (vec![0u32; n], vec![0u32; n]);
     let (mut s2, mut c2) = (vec![0u32; n], vec![0u32; n]);
     for center in (0..n as u32).step_by(419) {
         world.counts_within_depths(NodeId(center), 2, 4, &mut s1, &mut c1);
-        bit.counts_within_depths(NodeId(center), 2, 4, &mut s2, &mut c2);
+        adaptive.counts_within_depths(NodeId(center), 2, 4, &mut s2, &mut c2);
         assert_eq!(s1, s2, "backends disagree on select counts at {center}");
         assert_eq!(c1, c2, "backends disagree on cover counts at {center}");
     }
@@ -70,12 +74,12 @@ fn equality_gate(graph: &ugraph_graph::UncertainGraph, samples: usize) {
 struct Comparison {
     name: &'static str,
     scalar_ns: u128,
-    bitparallel_ns: u128,
+    adaptive_ns: u128,
 }
 
 impl Comparison {
     fn speedup(&self) -> f64 {
-        self.scalar_ns as f64 / (self.bitparallel_ns as f64).max(1.0)
+        self.scalar_ns as f64 / (self.adaptive_ns as f64).max(1.0)
     }
 }
 
@@ -139,7 +143,7 @@ fn measure_comparisons(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec
     let centers: Vec<u32> = (0..n as u32).step_by(n / 16).collect();
 
     // Pool generation at 256 samples: scalar pays union-find + labeling
-    // per world, bit-parallel only packs Bernoulli draws into mask lanes.
+    // per world, adaptive only packs Bernoulli draws into mask lanes.
     results.push(Comparison {
         name: "ensure_256",
         scalar_ns: median_ns(reps, || {
@@ -147,8 +151,8 @@ fn measure_comparisons(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec
             pool.ensure(256);
             assert_eq!(pool.num_samples(), 256);
         }),
-        bitparallel_ns: median_ns(reps, || {
-            let mut pool = BitParallelPool::<1>::new(graph, SEED, 1);
+        adaptive_ns: median_ns(reps, || {
+            let mut pool = AdaptivePool::new_adaptive(graph, SEED, 1);
             pool.ensure(256);
             assert_eq!(pool.num_samples(), 256);
         }),
@@ -162,24 +166,24 @@ fn measure_comparisons(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec
         &[("center_counts_query_only_64", 64usize), ("center_counts_query_only_256", 256)]
     {
         let mut scalar = ComponentPool::new(graph, SEED, 1);
-        let mut bit = BitParallelPool::<1>::new(graph, SEED, 1);
+        let mut adaptive = AdaptivePool::new_adaptive(graph, SEED, 1);
         scalar.ensure(samples);
-        bit.ensure(samples);
+        adaptive.ensure(samples);
         let mut counts = vec![0u32; n];
         let scalar_ns = median_ns(reps, || {
             for &c in &centers {
                 scalar.counts_from_center(NodeId(c), &mut counts);
             }
         });
-        let bitparallel_ns = median_ns(reps, || {
+        let adaptive_ns = median_ns(reps, || {
             for &c in &centers {
-                bit.counts_from_center(NodeId(c), &mut counts);
+                adaptive.counts_from_center(NodeId(c), &mut counts);
             }
         });
         results.push(Comparison {
             name,
             scalar_ns: scalar_ns / centers.len() as u128,
-            bitparallel_ns: bitparallel_ns / centers.len() as u128,
+            adaptive_ns: adaptive_ns / centers.len() as u128,
         });
     }
 
@@ -188,9 +192,9 @@ fn measure_comparisons(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec
     {
         let samples = 128;
         let mut scalar = WorldPool::new(graph, SEED, 1);
-        let mut bit = BitParallelPool::<1>::new(graph, SEED, 1);
+        let mut adaptive = AdaptivePool::new_adaptive(graph, SEED, 1);
         scalar.ensure(samples);
-        bit.ensure(samples);
+        adaptive.ensure(samples);
         let mut sel = vec![0u32; n];
         let mut cov = vec![0u32; n];
         let scalar_ns = median_ns(reps, || {
@@ -198,15 +202,15 @@ fn measure_comparisons(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec
                 scalar.counts_within_depths(NodeId(c), 2, 4, &mut sel, &mut cov);
             }
         });
-        let bitparallel_ns = median_ns(reps, || {
+        let adaptive_ns = median_ns(reps, || {
             for &c in &centers {
-                bit.counts_within_depths(NodeId(c), 2, 4, &mut sel, &mut cov);
+                adaptive.counts_within_depths(NodeId(c), 2, 4, &mut sel, &mut cov);
             }
         });
         results.push(Comparison {
             name: "depth4_counts_128",
             scalar_ns: scalar_ns / centers.len() as u128,
-            bitparallel_ns: bitparallel_ns / centers.len() as u128,
+            adaptive_ns: adaptive_ns / centers.len() as u128,
         });
     }
 
@@ -226,8 +230,8 @@ fn measure_comparisons(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec
                     pool.counts_from_center(NodeId(c), &mut counts);
                 }
             }),
-            bitparallel_ns: median_ns(reps, || {
-                let mut pool = BitParallelPool::<1>::new(graph, SEED, 1);
+            adaptive_ns: median_ns(reps, || {
+                let mut pool = AdaptivePool::new_adaptive(graph, SEED, 1);
                 pool.ensure(samples);
                 let mut counts = vec![0u32; n];
                 for &c in &centers {
@@ -240,11 +244,11 @@ fn measure_comparisons(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec
     results
 }
 
-/// `batch_rows`: multi-center batched count rows, scalar vs bit-parallel.
-/// Per-center queries are where bit-parallel loses to the scalar labels
-/// (`center_counts_query_only`); batching amortizes the mask-BFS memory
-/// traffic over all centers per traversal, which is the workload
-/// `min-partial`'s candidate evaluation actually presents.
+/// `batch_rows`: multi-center batched count rows, scalar vs adaptive.
+/// Batches never finalize labels, so on a fresh pool the adaptive backend
+/// runs the mask kernels: batching amortizes the mask-BFS memory traffic
+/// over all centers per traversal, which is the workload `min-partial`'s
+/// candidate evaluation actually presents.
 fn measure_batch_rows(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Comparison> {
     const SEED: u64 = 41;
     let n = graph.num_nodes();
@@ -253,15 +257,15 @@ fn measure_batch_rows(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<
     let mut results = Vec::new();
     for &(name, samples) in &[("batch_rows_16x64", 64usize), ("batch_rows_16x256", 256)] {
         let mut scalar = ComponentPool::new(graph, SEED, 1);
-        let mut bit = BitParallelPool::<1>::new(graph, SEED, 1);
+        let mut adaptive = AdaptivePool::new_adaptive(graph, SEED, 1);
         scalar.ensure(samples);
-        bit.ensure(samples);
+        adaptive.ensure(samples);
         // Equality gate: batched rows identical across backends and to the
         // sequential per-center rows.
         let mut a = vec![0u32; k * n];
         let mut b = vec![0u32; k * n];
         scalar.counts_from_centers(&centers, &mut a);
-        bit.counts_from_centers(&centers, &mut b);
+        adaptive.counts_from_centers(&centers, &mut b);
         assert_eq!(a, b, "backends disagree on batched rows ({samples} samples)");
         let mut row = vec![0u32; n];
         for (j, &c) in centers.iter().enumerate() {
@@ -271,40 +275,17 @@ fn measure_batch_rows(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<
         results.push(Comparison {
             name,
             scalar_ns: median_ns(reps, || scalar.counts_from_centers(&centers, &mut a)),
-            bitparallel_ns: median_ns(reps, || bit.counts_from_centers(&centers, &mut b)),
+            adaptive_ns: median_ns(reps, || adaptive.counts_from_centers(&centers, &mut b)),
         });
     }
     results
-}
-
-/// One three-way `unlimited_query_adaptive` measurement: scalar labels vs
-/// pure-mask bit-parallel vs the adaptive backend (bit-parallel + lazy
-/// block finalization).
-struct Tri {
-    name: &'static str,
-    scalar_ns: u128,
-    bitparallel_ns: u128,
-    adaptive_ns: u128,
-}
-
-impl Tri {
-    /// Adaptive speedup over scalar labels (the acceptance gate:
-    /// ≥ 1.0× on query-only unlimited counts).
-    fn vs_scalar(&self) -> f64 {
-        self.scalar_ns as f64 / (self.adaptive_ns as f64).max(1.0)
-    }
-
-    /// Adaptive speedup over the pure-mask backend.
-    fn vs_bitparallel(&self) -> f64 {
-        self.bitparallel_ns as f64 / (self.adaptive_ns as f64).max(1.0)
-    }
 }
 
 /// `unlimited_query_adaptive`: the query shape the adaptive engine exists
 /// for — unlimited-depth counts — measured cold (single pair, no
 /// finalization paid) and warm (row queries and batches over finalized
 /// blocks), equality-gated against the scalar labels.
-fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Tri> {
+fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Comparison> {
     const SEED: u64 = 41;
     let n = graph.num_nodes();
     let samples = 256usize;
@@ -314,7 +295,7 @@ fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Tr
     // every row it will be timed on (finalized and unfinalized paths).
     {
         let mut scalar = ComponentPool::new(graph, SEED, 1);
-        let mut adaptive = BitParallelPool::<1>::new_adaptive(graph, SEED, 1);
+        let mut adaptive = AdaptivePool::new_adaptive(graph, SEED, 1);
         scalar.ensure(samples);
         adaptive.ensure(samples);
         let mut a = vec![0u32; n];
@@ -352,15 +333,8 @@ fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Tr
             std::hint::black_box(pool.pair_count(u, v));
             t.elapsed().as_nanos()
         });
-        let bitparallel_ns = time_cold(&mut || {
-            let mut pool = BitParallelPool::<1>::new(graph, SEED, 1);
-            pool.ensure(samples);
-            let t = Instant::now();
-            std::hint::black_box(pool.pair_count(u, v));
-            t.elapsed().as_nanos()
-        });
         let adaptive_ns = time_cold(&mut || {
-            let mut pool = BitParallelPool::<1>::new_adaptive(graph, SEED, 1);
+            let mut pool = AdaptivePool::new_adaptive(graph, SEED, 1);
             pool.ensure(samples);
             let t = Instant::now();
             std::hint::black_box(pool.pair_count(u, v));
@@ -372,19 +346,17 @@ fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Tr
             );
             ns
         });
-        out.push(Tri { name: "cold_pair_single_256", scalar_ns, bitparallel_ns, adaptive_ns });
+        out.push(Comparison { name: "cold_pair_single_256", scalar_ns, adaptive_ns });
     }
 
     // Warm query-only unlimited counts — the workload PR 2 recorded the
-    // 0.09×–0.23× bit-parallel loss on. The adaptive pool is warmed by one
+    // 0.09×–0.23× pure-mask loss on. The adaptive pool is warmed by one
     // row query (finalizing every block); timing then measures pure label
-    // scans on all three backends.
+    // scans on both backends.
     {
         let mut scalar = ComponentPool::new(graph, SEED, 1);
-        let mut mask = BitParallelPool::<1>::new(graph, SEED, 1);
-        let mut adaptive = BitParallelPool::<1>::new_adaptive(graph, SEED, 1);
+        let mut adaptive = AdaptivePool::new_adaptive(graph, SEED, 1);
         scalar.ensure(samples);
-        mask.ensure(samples);
         adaptive.ensure(samples);
         let mut counts = vec![0u32; n];
         adaptive.counts_from_center(NodeId(0), &mut counts);
@@ -393,20 +365,14 @@ fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Tr
                 scalar.counts_from_center(NodeId(c), &mut counts);
             }
         });
-        let bitparallel_ns = median_ns(reps, || {
-            for &c in &centers {
-                mask.counts_from_center(NodeId(c), &mut counts);
-            }
-        });
         let adaptive_ns = median_ns(reps, || {
             for &c in &centers {
                 adaptive.counts_from_center(NodeId(c), &mut counts);
             }
         });
-        out.push(Tri {
+        out.push(Comparison {
             name: "warm_center_counts_query_only_256",
             scalar_ns: scalar_ns / centers.len() as u128,
-            bitparallel_ns: bitparallel_ns / centers.len() as u128,
             adaptive_ns: adaptive_ns / centers.len() as u128,
         });
 
@@ -419,20 +385,14 @@ fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Tr
                 std::hint::black_box(scalar.pair_count(u, v));
             }
         });
-        let bitparallel_ns = median_ns(reps, || {
-            for &(u, v) in &pairs {
-                std::hint::black_box(mask.pair_count(u, v));
-            }
-        });
         let adaptive_ns = median_ns(reps, || {
             for &(u, v) in &pairs {
                 std::hint::black_box(adaptive.pair_count(u, v));
             }
         });
-        out.push(Tri {
+        out.push(Comparison {
             name: "warm_pair_counts_256",
             scalar_ns: scalar_ns / pairs.len() as u128,
-            bitparallel_ns: bitparallel_ns / pairs.len() as u128,
             adaptive_ns: adaptive_ns / pairs.len() as u128,
         });
 
@@ -442,27 +402,21 @@ fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Tr
             (0..k as u32).map(|i| NodeId(i * (n as u32 / k as u32))).collect();
         let mut rows = vec![0u32; k * n];
         let scalar_ns = median_ns(reps, || scalar.counts_from_centers(&batch_centers, &mut rows));
-        let bitparallel_ns =
-            median_ns(reps, || mask.counts_from_centers(&batch_centers, &mut rows));
         let adaptive_ns =
             median_ns(reps, || adaptive.counts_from_centers(&batch_centers, &mut rows));
-        out.push(Tri { name: "warm_batch_rows_16x256", scalar_ns, bitparallel_ns, adaptive_ns });
+        out.push(Comparison { name: "warm_batch_rows_16x256", scalar_ns, adaptive_ns });
     }
 
-    // Pool generation: finalization is lazy, so adaptive generation must
-    // stay within noise of the pure-mask backend.
-    out.push(Tri {
+    // Pool generation: finalization is lazy, so adaptive generation pays
+    // only the mask packing.
+    out.push(Comparison {
         name: "ensure_256",
         scalar_ns: median_ns(reps, || {
             let mut pool = ComponentPool::new(graph, SEED, 1);
             pool.ensure(samples);
         }),
-        bitparallel_ns: median_ns(reps, || {
-            let mut pool = BitParallelPool::<1>::new(graph, SEED, 1);
-            pool.ensure(samples);
-        }),
         adaptive_ns: median_ns(reps, || {
-            let mut pool = BitParallelPool::<1>::new_adaptive(graph, SEED, 1);
+            let mut pool = AdaptivePool::new_adaptive(graph, SEED, 1);
             pool.ensure(samples);
         }),
     });
@@ -473,25 +427,22 @@ fn measure_adaptive(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<Tr
 fn write_adaptive_json(
     graph: &ugraph_graph::UncertainGraph,
     name: &str,
-    tris: &[Tri],
+    results: &[Comparison],
     replay: &[Replay],
     smoke: bool,
 ) {
     let mut rows = String::new();
-    for (i, t) in tris.iter().enumerate() {
+    for (i, t) in results.iter().enumerate() {
         if i > 0 {
             rows.push_str(",\n");
         }
         rows.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_ns\": {}, \"bitparallel_ns\": {}, \
-             \"adaptive_ns\": {}, \"adaptive_vs_scalar\": {:.3}, \
-             \"adaptive_vs_bitparallel\": {:.3}}}",
+            "    {{\"name\": \"{}\", \"scalar_ns\": {}, \"adaptive_ns\": {}, \
+             \"adaptive_vs_scalar\": {:.3}}}",
             t.name,
             t.scalar_ns,
-            t.bitparallel_ns,
             t.adaptive_ns,
-            t.vs_scalar(),
-            t.vs_bitparallel()
+            t.speedup()
         ));
     }
     let mut replays = String::new();
@@ -554,7 +505,7 @@ fn measure_replay(graph: &ugraph_graph::UncertainGraph, smoke: bool) -> Vec<Repl
     };
     let mut out = Vec::new();
     let mut reference: Option<AcpResult> = None;
-    for kind in [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive] {
+    for kind in [EngineKind::Scalar, EngineKind::Adaptive] {
         let mut cached_ns = u128::MAX;
         let mut per_row_ns = u128::MAX;
         for _ in 0..reps {
@@ -628,7 +579,7 @@ fn measure_k_sweep(
     let (k_lo, k_hi) = if smoke { (2usize, 4usize) } else { (2usize, 10usize) };
     let reps = if smoke { 1 } else { 3 };
     let mut out = Vec::new();
-    for kind in [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive] {
+    for kind in [EngineKind::Scalar, EngineKind::Adaptive] {
         let cfg = ClusterConfig::default().with_seed(23).with_engine(kind).with_threads(1);
         let mut best_cold = u128::MAX;
         let mut best_warm = u128::MAX;
@@ -738,11 +689,11 @@ fn write_oracle_json(
             rows.push_str(",\n");
         }
         rows.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_ns\": {}, \"bitparallel_ns\": {}, \
+            "    {{\"name\": \"{}\", \"scalar_ns\": {}, \"adaptive_ns\": {}, \
              \"speedup\": {:.3}}}",
             r.name,
             r.scalar_ns,
-            r.bitparallel_ns,
+            r.adaptive_ns,
             r.speedup()
         ));
     }
@@ -778,225 +729,6 @@ fn write_oracle_json(
     }
 }
 
-/// One block-width scenario: median ns per operation at widths 64, 256,
-/// and 512 worlds per mask block.
-struct WidthRow {
-    name: &'static str,
-    w64_ns: u128,
-    w256_ns: u128,
-    w512_ns: u128,
-}
-
-impl WidthRow {
-    fn speedup_256(&self) -> f64 {
-        self.w64_ns as f64 / (self.w256_ns as f64).max(1.0)
-    }
-
-    fn speedup_512(&self) -> f64 {
-        self.w64_ns as f64 / (self.w512_ns as f64).max(1.0)
-    }
-}
-
-/// Per-width timings of the scenarios in the `block_width_sweep` group.
-struct WidthTimes {
-    ensure_ns: u128,
-    depth_ns: u128,
-    row_ns: u128,
-    pair_ns: u128,
-    batch_ns: u128,
-    warm_batch_ns: u128,
-}
-
-/// Counts sampled at one width, compared across widths before timing.
-struct WidthGate {
-    rows: Vec<u32>,
-    depths: Vec<u32>,
-    batch: Vec<u32>,
-    pairs: Vec<usize>,
-}
-
-/// Measures every width scenario at one block width `W` and checks the
-/// counts against `gate` (the width-64 reference) before any timing.
-fn measure_one_width<const W: usize>(
-    graph: &ugraph_graph::UncertainGraph,
-    reps: usize,
-    samples: usize,
-    gate: &mut Option<WidthGate>,
-) -> WidthTimes {
-    const SEED: u64 = 41;
-    let n = graph.num_nodes();
-    let centers: Vec<u32> = (0..n as u32).step_by(n / 16).collect();
-    let k = 16usize;
-    let batch_centers: Vec<NodeId> =
-        (0..k as u32).map(|i| NodeId(i * (n as u32 / k as u32))).collect();
-
-    let mut pool = BitParallelPool::<W>::new(graph, SEED, 1);
-    pool.ensure(samples);
-    assert_eq!(pool.num_samples(), samples);
-
-    // Equality gate: all counts below must be bit-identical to width 64.
-    {
-        let mut rows = Vec::new();
-        let mut row = vec![0u32; n];
-        let (mut sel, mut cov) = (vec![0u32; n], vec![0u32; n]);
-        let mut depths = Vec::new();
-        let mut pairs = Vec::new();
-        for &c in &centers {
-            pool.counts_from_center(NodeId(c), &mut row);
-            rows.extend_from_slice(&row);
-            pool.counts_within_depths(NodeId(c), 2, 4, &mut sel, &mut cov);
-            depths.extend_from_slice(&sel);
-            depths.extend_from_slice(&cov);
-            pairs.push(pool.pair_count(NodeId(0), NodeId(c)));
-        }
-        let mut batch = vec![0u32; k * n];
-        pool.counts_from_centers(&batch_centers, &mut batch);
-        let fp = WidthGate { rows, depths, batch, pairs };
-        match gate {
-            None => *gate = Some(fp),
-            Some(want) => {
-                assert_eq!(want.rows, fp.rows, "width {} center rows differ", W * 64);
-                assert_eq!(want.depths, fp.depths, "width {} depth counts differ", W * 64);
-                assert_eq!(want.batch, fp.batch, "width {} batch rows differ", W * 64);
-                assert_eq!(want.pairs, fp.pairs, "width {} pair counts differ", W * 64);
-            }
-        }
-    }
-
-    // Pool generation. Dominated by the per-edge Bernoulli draws (the RNG
-    // stream is pinned per world for cross-width identity), so the wide
-    // win here is bounded by the non-RNG fraction — see HOTPATH.md.
-    let ensure_ns = median_ns(reps, || {
-        let mut p = BitParallelPool::<W>::new(graph, SEED, 1);
-        p.ensure(samples);
-    });
-
-    // Depth-limited counts (d = 4): frontier expansion over Mask<W>
-    // blocks, the workload wide words exist for.
-    let (mut sel, mut cov) = (vec![0u32; n], vec![0u32; n]);
-    let depth_ns = median_ns(reps, || {
-        for &c in &centers {
-            pool.counts_within_depths(NodeId(c), 2, 4, &mut sel, &mut cov);
-        }
-    }) / centers.len() as u128;
-
-    // Unlimited mask-path rows, pairs, and batched rows on the pure-mask
-    // pool (no label finalization: every query runs the mask kernels).
-    let mut row = vec![0u32; n];
-    let row_ns = median_ns(reps, || {
-        for &c in &centers {
-            pool.counts_from_center(NodeId(c), &mut row);
-        }
-    }) / centers.len() as u128;
-    let pairs: Vec<(NodeId, NodeId)> =
-        centers.iter().map(|&c| (NodeId(c), NodeId((c + 7) % n as u32))).collect();
-    let pair_ns = median_ns(reps, || {
-        for &(u, v) in &pairs {
-            std::hint::black_box(pool.pair_count(u, v));
-        }
-    }) / pairs.len() as u128;
-    let mut rows = vec![0u32; k * n];
-    let batch_ns = median_ns(reps, || pool.counts_from_centers(&batch_centers, &mut rows));
-
-    // Warm adaptive batched rows: labels are per-world and thus
-    // width-independent once finalized; this checks the width seam adds
-    // no overhead on the label path.
-    let mut adaptive = BitParallelPool::<W>::new_adaptive(graph, SEED, 1);
-    adaptive.ensure(samples);
-    adaptive.counts_from_center(NodeId(0), &mut row);
-    let warm_batch_ns = median_ns(reps, || adaptive.counts_from_centers(&batch_centers, &mut rows));
-
-    WidthTimes { ensure_ns, depth_ns, row_ns, pair_ns, batch_ns, warm_batch_ns }
-}
-
-/// `block_width_sweep`: the same pool workloads at 64-, 256-, and 512-world
-/// blocks, equality-gated across widths (identical worlds by construction,
-/// so any divergence is a kernel bug).
-fn measure_width_sweep(graph: &ugraph_graph::UncertainGraph, reps: usize) -> Vec<WidthRow> {
-    let samples = 512usize;
-    let mut gate = None;
-    let w1 = measure_one_width::<1>(graph, reps, samples, &mut gate);
-    let w4 = measure_one_width::<4>(graph, reps, samples, &mut gate);
-    let w8 = measure_one_width::<8>(graph, reps, samples, &mut gate);
-    println!("width equality gate passed: counts identical at 64/256/512-world blocks");
-    vec![
-        WidthRow {
-            name: "ensure_512",
-            w64_ns: w1.ensure_ns,
-            w256_ns: w4.ensure_ns,
-            w512_ns: w8.ensure_ns,
-        },
-        WidthRow {
-            name: "depth4_counts_512",
-            w64_ns: w1.depth_ns,
-            w256_ns: w4.depth_ns,
-            w512_ns: w8.depth_ns,
-        },
-        WidthRow {
-            name: "mask_center_rows_512",
-            w64_ns: w1.row_ns,
-            w256_ns: w4.row_ns,
-            w512_ns: w8.row_ns,
-        },
-        WidthRow {
-            name: "mask_pair_counts_512",
-            w64_ns: w1.pair_ns,
-            w256_ns: w4.pair_ns,
-            w512_ns: w8.pair_ns,
-        },
-        WidthRow {
-            name: "batch_rows_16x512",
-            w64_ns: w1.batch_ns,
-            w256_ns: w4.batch_ns,
-            w512_ns: w8.batch_ns,
-        },
-        WidthRow {
-            name: "warm_batch_rows_16x512",
-            w64_ns: w1.warm_batch_ns,
-            w256_ns: w4.warm_batch_ns,
-            w512_ns: w8.warm_batch_ns,
-        },
-    ]
-}
-
-fn write_width_json(
-    graph: &ugraph_graph::UncertainGraph,
-    name: &str,
-    rows: &[WidthRow],
-    smoke: bool,
-) {
-    let mut body = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"w64_ns\": {}, \"w256_ns\": {}, \"w512_ns\": {}, \
-             \"speedup_256\": {:.3}, \"speedup_512\": {:.3}}}",
-            r.name,
-            r.w64_ns,
-            r.w256_ns,
-            r.w512_ns,
-            r.speedup_256(),
-            r.speedup_512()
-        ));
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"block_width_sweep\",\n  \"dataset\": \"{}\",\n  \
-         \"nodes\": {},\n  \"edges\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        name,
-        graph.num_nodes(),
-        graph.num_edges(),
-        smoke,
-        body
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_width.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
-}
-
 fn write_json(
     graph: &ugraph_graph::UncertainGraph,
     name: &str,
@@ -1009,11 +741,11 @@ fn write_json(
             rows.push_str(",\n");
         }
         rows.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_ns\": {}, \"bitparallel_ns\": {}, \
+            "    {{\"name\": \"{}\", \"scalar_ns\": {}, \"adaptive_ns\": {}, \
              \"speedup\": {:.3}}}",
             r.name,
             r.scalar_ns,
-            r.bitparallel_ns,
+            r.adaptive_ns,
             r.speedup()
         ));
     }
@@ -1042,17 +774,17 @@ fn worldengine(c: &mut Criterion) {
     // Equality gates, including a non-multiple-of-64 size.
     equality_gate(&graph, 64);
     equality_gate(&graph, if smoke() { 100 } else { 250 });
-    println!("equality gate passed: scalar and bit-parallel counts identical");
+    println!("equality gate passed: scalar and adaptive counts identical");
 
     // Machine-readable comparison.
     let reps = if smoke() { 3 } else { 9 };
     let results = measure_comparisons(&graph, reps);
     for r in &results {
         println!(
-            "  {:<28} scalar {:>12} ns   bitparallel {:>12} ns   speedup {:>6.2}x",
+            "  {:<28} scalar {:>12} ns   adaptive {:>12} ns   speedup {:>6.2}x",
             r.name,
             r.scalar_ns,
-            r.bitparallel_ns,
+            r.adaptive_ns,
             r.speedup()
         );
     }
@@ -1062,10 +794,10 @@ fn worldengine(c: &mut Criterion) {
     let batch = measure_batch_rows(&graph, reps);
     for r in &batch {
         println!(
-            "  {:<28} scalar {:>12} ns   bitparallel {:>12} ns   speedup {:>6.2}x",
+            "  {:<28} scalar {:>12} ns   adaptive {:>12} ns   speedup {:>6.2}x",
             r.name,
             r.scalar_ns,
-            r.bitparallel_ns,
+            r.adaptive_ns,
             r.speedup()
         );
     }
@@ -1081,39 +813,19 @@ fn worldengine(c: &mut Criterion) {
     }
     write_oracle_json(&graph, &d.name, &batch, &replay, smoke());
 
-    // The adaptive three-way group: scalar labels vs pure-mask vs
-    // bit-parallel + lazy finalization (equality gates inside).
-    let tris = measure_adaptive(&graph, reps);
-    for t in &tris {
+    // The adaptive group: scalar labels vs lazy finalization (equality
+    // gates inside).
+    let adaptive = measure_adaptive(&graph, reps);
+    for t in &adaptive {
         println!(
-            "  adaptive/{:<33} scalar {:>11} ns   mask {:>11} ns   adaptive {:>11} ns   vs \
-             scalar {:>5.2}x   vs mask {:>5.2}x",
+            "  adaptive/{:<33} scalar {:>11} ns   adaptive {:>11} ns   vs scalar {:>5.2}x",
             t.name,
             t.scalar_ns,
-            t.bitparallel_ns,
             t.adaptive_ns,
-            t.vs_scalar(),
-            t.vs_bitparallel()
+            t.speedup()
         );
     }
-    write_adaptive_json(&graph, &d.name, &tris, &replay, smoke());
-
-    // Block-width sweep: the same kernels at 64/256/512 worlds per block
-    // (equality gates inside).
-    let widths = measure_width_sweep(&graph, reps);
-    for r in &widths {
-        println!(
-            "  width/{:<24} w64 {:>12} ns   w256 {:>12} ns   w512 {:>12} ns   256 vs 64 \
-             {:>5.2}x   512 vs 64 {:>5.2}x",
-            r.name,
-            r.w64_ns,
-            r.w256_ns,
-            r.w512_ns,
-            r.speedup_256(),
-            r.speedup_512()
-        );
-    }
-    write_width_json(&graph, &d.name, &widths, smoke());
+    write_adaptive_json(&graph, &d.name, &adaptive, &replay, smoke());
 
     // k-sweep through one session vs independent cold calls
     // (equality-gated inside).
@@ -1156,12 +868,12 @@ fn worldengine(c: &mut Criterion) {
                 counts[0]
             })
         });
-        let mut bit = BitParallelPool::<1>::new(&graph, SEED, 1);
-        bit.ensure(samples);
-        group.bench_function(BenchmarkId::new("center_counts/bitparallel", label), |b| {
+        let mut adaptive = AdaptivePool::new_adaptive(&graph, SEED, 1);
+        adaptive.ensure(samples);
+        group.bench_function(BenchmarkId::new("center_counts/adaptive", label), |b| {
             let mut center = 0u32;
             b.iter(|| {
-                bit.counts_from_center(NodeId(center % n as u32), &mut counts);
+                adaptive.counts_from_center(NodeId(center % n as u32), &mut counts);
                 center = center.wrapping_add(97);
                 counts[0]
             })
@@ -1182,28 +894,12 @@ fn worldengine(c: &mut Criterion) {
                 rows[0]
             })
         });
-        let mut bit = BitParallelPool::<1>::new(&graph, SEED, 1);
-        bit.ensure(samples);
-        group.bench_function(BenchmarkId::new("batch_rows/bitparallel", samples), |b| {
-            b.iter(|| {
-                bit.counts_from_centers(&centers, &mut rows);
-                rows[0]
-            })
-        });
-    }
-    {
-        // Warm adaptive center counts for interactive comparison with the
-        // scalar/bitparallel `center_counts` entries above.
-        let samples = 256;
-        let mut adaptive = BitParallelPool::<1>::new_adaptive(&graph, SEED, 1);
+        let mut adaptive = AdaptivePool::new_adaptive(&graph, SEED, 1);
         adaptive.ensure(samples);
-        adaptive.counts_from_center(NodeId(0), &mut counts);
-        group.bench_function(BenchmarkId::new("center_counts/adaptive", samples), |b| {
-            let mut center = 0u32;
+        group.bench_function(BenchmarkId::new("batch_rows/adaptive", samples), |b| {
             b.iter(|| {
-                adaptive.counts_from_center(NodeId(center % n as u32), &mut counts);
-                center = center.wrapping_add(97);
-                counts[0]
+                adaptive.counts_from_centers(&centers, &mut rows);
+                rows[0]
             })
         });
     }
@@ -1221,12 +917,12 @@ fn worldengine(c: &mut Criterion) {
                 cov[0]
             })
         });
-        let mut bit = BitParallelPool::<1>::new(&graph, SEED, 1);
-        bit.ensure(samples);
-        group.bench_function(BenchmarkId::new("depth4_counts/bitparallel", samples), |b| {
+        let mut adaptive = AdaptivePool::new_adaptive(&graph, SEED, 1);
+        adaptive.ensure(samples);
+        group.bench_function(BenchmarkId::new("depth4_counts/adaptive", samples), |b| {
             let mut center = 0u32;
             b.iter(|| {
-                bit.counts_within_depths(NodeId(center % n as u32), 2, 4, &mut sel, &mut cov);
+                adaptive.counts_within_depths(NodeId(center % n as u32), 2, 4, &mut sel, &mut cov);
                 center = center.wrapping_add(97);
                 cov[0]
             })
@@ -1255,35 +951,6 @@ fn worldengine(c: &mut Criterion) {
         })
     });
     sweep_group.finish();
-
-    // Interactive width exploration: batched rows per block width (the
-    // sweep JSON above covers the full scenario set).
-    let mut width_group = c.benchmark_group("block_width_sweep");
-    if smoke() {
-        width_group.sample_size(10);
-        width_group.measurement_time(Duration::from_millis(40));
-    }
-    macro_rules! width_bench {
-        ($w:literal, $label:expr) => {{
-            let samples = 512;
-            let k = 16usize;
-            let centers: Vec<NodeId> =
-                (0..k as u32).map(|i| NodeId(i * (n as u32 / k as u32))).collect();
-            let mut rows = vec![0u32; k * n];
-            let mut pool = BitParallelPool::<$w>::new(&graph, SEED, 1);
-            pool.ensure(samples);
-            width_group.bench_function(BenchmarkId::new("batch_rows", $label), |b| {
-                b.iter(|| {
-                    pool.counts_from_centers(&centers, &mut rows);
-                    rows[0]
-                })
-            });
-        }};
-    }
-    width_bench!(1, "64");
-    width_bench!(4, "256");
-    width_bench!(8, "512");
-    width_group.finish();
 }
 
 criterion_group!(benches, worldengine);

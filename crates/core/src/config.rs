@@ -81,20 +81,17 @@ pub struct ClusterConfig {
     pub guess: GuessStrategy,
     /// ACP invocation flavor.
     pub acp_invocation: AcpInvocation,
-    /// Monte-Carlo backend: scalar per-world pools, the pure-mask
-    /// bit-parallel block pool (64 worlds per machine word), or the
-    /// default **adaptive** backend (bit-parallel plus lazy per-block
-    /// component-label finalization). Backends are count-identical for a
-    /// fixed seed, so this knob trades nothing but time; it is threaded
+    /// Monte-Carlo backend: the default **adaptive** backend (256-world
+    /// mask blocks plus lazy per-block component-label finalization) or
+    /// the scalar per-world pools, kept as the independent reference.
+    /// Backends are count-identical for a fixed seed, so this knob trades
+    /// nothing but time; it is threaded
     /// through `mcp`/`acp` (and their depth variants) into every
     /// `min-partial` probability estimate.
     pub engine: EngineKind,
-    /// Mask-block width of the bit-parallel backends: how many worlds one
-    /// block packs (64, 256, or 512 — see
-    /// [`ugraph_sampling::BlockWidth`]). Counts are bit-identical at every
-    /// width; wider blocks answer more worlds per traversal at
-    /// proportionally larger per-block mask memory. Ignored by the scalar
-    /// backend.
+    /// Mask-block width of the adaptive backend. Its only value is 256
+    /// worlds per block (see [`ugraph_sampling::BlockWidth`], which says
+    /// why the field still exists).
     pub block_width: BlockWidth,
     /// Per-center row cache in the Monte-Carlo oracles (default on):
     /// integer count rows are kept across the guessing schedule and topped
@@ -103,19 +100,6 @@ pub struct ClusterConfig {
     /// disabling trades time for the cache's memory (one integer row per
     /// distinct center queried).
     pub row_cache: bool,
-    /// Session-level **shared pool** across the MCP and ACP oracle
-    /// families (default off). With it on, a `UgraphSession` keeps a
-    /// single grow-only pool + row cache per *depth shape* instead of one
-    /// per (objective, depth shape), so interleaved MCP/ACP workloads
-    /// dedupe their sampled worlds and share cached rows.
-    ///
-    /// **Determinism trade-off**: results stay fully deterministic for a
-    /// fixed seed (and identical across backends and thread counts), but
-    /// they are **not** bit-identical to the one-shot entry points — the
-    /// shared pool draws from its own seed stream, whereas `mcp`/`acp`
-    /// decorrelate each family's samples. One-shot calls ignore the knob
-    /// (a single-request session has nothing to share).
-    pub shared_pool: bool,
     /// Byte ceiling for sample storage and cached probability rows
     /// (default `None` = unbounded). With a limit set, every oracle's
     /// shard-granular pool charges a shared ledger; under pressure,
@@ -158,7 +142,6 @@ impl PartialEq for ClusterConfig {
             && self.engine == other.engine
             && self.block_width == other.block_width
             && self.row_cache == other.row_cache
-            && self.shared_pool == other.shared_pool
             && self.memory_budget == other.memory_budget
             && self.timeout == other.timeout
             && self.degrade == other.degrade
@@ -185,7 +168,6 @@ impl Default for ClusterConfig {
             engine: EngineKind::default(),
             block_width: BlockWidth::default(),
             row_cache: true,
-            shared_pool: false,
             memory_budget: None,
             timeout: None,
             cancel_token: None,
@@ -285,22 +267,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style setter for the bit-parallel mask-block width.
-    pub fn with_block_width(mut self, width: BlockWidth) -> Self {
-        self.block_width = width;
-        self
-    }
-
     /// Builder-style setter for the oracle row cache.
     pub fn with_row_cache(mut self, row_cache: bool) -> Self {
         self.row_cache = row_cache;
-        self
-    }
-
-    /// Builder-style setter for the session-level shared pool (see
-    /// [`ClusterConfig::shared_pool`] for the determinism trade-off).
-    pub fn with_shared_pool(mut self, shared_pool: bool) -> Self {
-        self.shared_pool = shared_pool;
         self
     }
 
@@ -373,7 +342,6 @@ mod tests {
         assert_eq!(c.guess, GuessStrategy::Accelerated);
         assert_eq!(c.acp_invocation, AcpInvocation::Practical);
         assert_eq!(c.engine, EngineKind::Adaptive);
-        assert!(!c.shared_pool);
         assert!(c.validate().is_ok());
     }
 
@@ -398,13 +366,13 @@ mod tests {
             .with_alpha(3)
             .with_threads(2)
             .with_guess(GuessStrategy::Geometric)
-            .with_engine(EngineKind::BitParallel);
+            .with_engine(EngineKind::Scalar);
         assert_eq!(c.gamma, 0.2);
         assert_eq!(c.seed, 7);
         assert_eq!(c.alpha, 3);
         assert_eq!(c.threads, 2);
         assert_eq!(c.guess, GuessStrategy::Geometric);
-        assert_eq!(c.engine, EngineKind::BitParallel);
+        assert_eq!(c.engine, EngineKind::Scalar);
     }
 
     #[test]

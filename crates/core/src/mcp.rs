@@ -83,9 +83,7 @@ pub fn mcp(
     k: usize,
     cfg: &ClusterConfig,
 ) -> Result<McpResult, ClusterError> {
-    // One-shot calls ignore `shared_pool` (nothing to share in a
-    // single-request session), preserving the per-family seed streams.
-    let mut session = UgraphSession::new(graph, cfg.clone().with_shared_pool(false))?;
+    let mut session = UgraphSession::new(graph, cfg.clone())?;
     session.solve(ClusterRequest::mcp(k)).map(McpResult::from)
 }
 
@@ -100,9 +98,7 @@ pub fn mcp_depth(
     d: u32,
     cfg: &ClusterConfig,
 ) -> Result<McpResult, ClusterError> {
-    // One-shot calls ignore `shared_pool` (nothing to share in a
-    // single-request session), preserving the per-family seed streams.
-    let mut session = UgraphSession::new(graph, cfg.clone().with_shared_pool(false))?;
+    let mut session = UgraphSession::new(graph, cfg.clone())?;
     session.solve(ClusterRequest::mcp_depth(k, d)).map(McpResult::from)
 }
 
@@ -370,7 +366,7 @@ mod tests {
     fn row_cache_and_batching_do_not_change_results() {
         use ugraph_sampling::EngineKind;
         let g = two_communities(0.2);
-        for engine in [EngineKind::Scalar, EngineKind::BitParallel] {
+        for engine in [EngineKind::Scalar, EngineKind::Adaptive] {
             for alpha in [1usize, 4] {
                 let on =
                     ClusterConfig::default().with_seed(9).with_engine(engine).with_alpha(alpha);
@@ -397,7 +393,7 @@ mod tests {
             b.add_edge(i, i + 1, 0.95).unwrap();
         }
         let g = b.build().unwrap();
-        for engine in [EngineKind::Scalar, EngineKind::BitParallel] {
+        for engine in [EngineKind::Scalar, EngineKind::Adaptive] {
             let on = ClusterConfig::default().with_seed(4).with_engine(engine);
             let off = on.clone().with_row_cache(false);
             let a = mcp_depth(&g, 3, 2, &on).unwrap();

@@ -50,7 +50,7 @@ fn assert_acp_identical(tag: &str, s: &SolveResult, r: &ugraph_cluster::AcpResul
 #[test]
 fn interleaved_request_shapes_match_one_shot_on_both_engines() {
     let g = communities_with_tail();
-    for engine in [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive] {
+    for engine in [EngineKind::Scalar, EngineKind::Adaptive] {
         for row_cache in [true, false] {
             let cfg = ClusterConfig::default()
                 .with_seed(42)
@@ -92,7 +92,7 @@ fn interleaved_request_shapes_match_one_shot_on_both_engines() {
 #[test]
 fn warm_k_sweep_equals_cold_calls() {
     let g = communities_with_tail();
-    for engine in [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive] {
+    for engine in [EngineKind::Scalar, EngineKind::Adaptive] {
         let cfg = ClusterConfig::default().with_seed(7).with_engine(engine);
         let mut session = UgraphSession::new(&g, cfg.clone()).unwrap();
         for k in 2..=6 {
@@ -148,7 +148,7 @@ fn explicit_depths_match_depth_oracle_runs() {
 
 #[test]
 fn adaptive_sessions_agree_with_scalar_sessions() {
-    // The three backends must produce identical results through the full
+    // The two backends must produce identical results through the full
     // session stack — including requests served warm from pools whose
     // blocks were finalized by earlier requests.
     let g = communities_with_tail();
@@ -167,12 +167,10 @@ fn adaptive_sessions_agree_with_scalar_sessions() {
         (results, session.stats())
     };
     let (scalar, _) = run(EngineKind::Scalar);
-    let (mask, _) = run(EngineKind::BitParallel);
     let (adaptive, stats) = run(EngineKind::Adaptive);
-    for ((s, m), a) in scalar.iter().zip(&mask).zip(&adaptive) {
+    for (s, a) in scalar.iter().zip(&adaptive) {
         assert_eq!(s.clustering, a.clustering, "adaptive diverges from scalar");
         assert_eq!(s.assign_probs, a.assign_probs);
-        assert_eq!(m.clustering, a.clustering, "adaptive diverges from pure-mask");
         assert_eq!((s.guesses, s.samples_used), (a.guesses, a.samples_used));
     }
     // The unlimited oracles actually finalized blocks and served label
@@ -180,84 +178,6 @@ fn adaptive_sessions_agree_with_scalar_sessions() {
     assert!(stats.engine.finalized_blocks > 0, "no finalization happened: {stats}");
     assert!(stats.engine.label_queries > 0, "{stats}");
     assert!(stats.engine.finalized_lanes <= stats.worlds_held, "relabeling detected: {stats}");
-}
-
-#[test]
-fn shared_pool_dedupes_worlds_across_oracle_families() {
-    let g = communities_with_tail();
-    let requests = [
-        ClusterRequest::mcp(2),
-        ClusterRequest::acp(2),
-        ClusterRequest::mcp(3),
-        ClusterRequest::acp(3),
-    ];
-    let run = |shared: bool| {
-        let cfg = ClusterConfig::default().with_seed(31).with_shared_pool(shared);
-        let mut session = UgraphSession::new(&g, cfg).unwrap();
-        let results: Vec<SolveResult> =
-            requests.iter().map(|rq| session.solve(rq.clone()).unwrap()).collect();
-        (results, session.stats())
-    };
-    let (separate, separate_stats) = run(false);
-    let (shared, shared_stats) = run(true);
-    // One pool serves both families: the session holds one solver pool
-    // instead of two, deduping the sampled worlds.
-    assert_eq!(shared_stats.solver_pools, 1, "{shared_stats}");
-    assert_eq!(separate_stats.solver_pools, 2, "{separate_stats}");
-    assert!(
-        shared_stats.worlds_held < separate_stats.worlds_held,
-        "shared pool did not dedupe: {} vs {}",
-        shared_stats.worlds_held,
-        separate_stats.worlds_held
-    );
-    // Deterministic: a second shared session reproduces the results bit
-    // for bit.
-    let (shared2, _) = run(true);
-    for (a, b) in shared.iter().zip(&shared2) {
-        assert_eq!(a.clustering, b.clustering, "shared-pool session not deterministic");
-        assert_eq!(a.assign_probs, b.assign_probs);
-        assert_eq!((a.guesses, a.samples_used), (b.guesses, b.samples_used));
-    }
-    // Both modes return valid full clusterings of the requested size.
-    for (a, b) in shared.iter().zip(&separate) {
-        assert_eq!(a.clustering.num_clusters(), b.clustering.num_clusters());
-        assert_eq!(a.clustering.covered_count(), b.clustering.covered_count());
-    }
-}
-
-#[test]
-fn one_shot_calls_ignore_the_shared_pool_knob() {
-    // The knob only matters when requests can actually share: a one-shot
-    // wrapper builds a single-request session, so `mcp`/`acp` must return
-    // bit-identical results with the knob on or off (the documented
-    // contract in `ClusterConfig::shared_pool`).
-    let g = communities_with_tail();
-    let plain = ClusterConfig::default().with_seed(17);
-    let knob = plain.clone().with_shared_pool(true);
-    let a = mcp(&g, 2, &plain).unwrap();
-    let b = mcp(&g, 2, &knob).unwrap();
-    assert_eq!(a.clustering, b.clustering);
-    assert_eq!(a.assign_probs, b.assign_probs);
-    assert_eq!((a.guesses, a.samples_used), (b.guesses, b.samples_used));
-    let a = acp(&g, 2, &plain).unwrap();
-    let b = acp(&g, 2, &knob).unwrap();
-    assert_eq!(a.clustering, b.clustering);
-    assert_eq!(a.assign_probs, b.assign_probs);
-}
-
-#[test]
-fn shared_pool_keeps_depth_shapes_separate() {
-    let g = communities_with_tail();
-    let cfg = ClusterConfig::default().with_seed(13).with_shared_pool(true);
-    let mut session = UgraphSession::new(&g, cfg).unwrap();
-    session.solve(ClusterRequest::mcp(2)).unwrap();
-    session.solve(ClusterRequest::acp(2)).unwrap();
-    assert_eq!(session.stats().solver_pools, 1, "unlimited shapes share one pool");
-    session.solve(ClusterRequest::mcp_depth(2, 3)).unwrap();
-    session.solve(ClusterRequest::acp_depth(2, 3)).unwrap();
-    // (3, 3) resolves identically for MCP and practical ACP → one depth
-    // pool; the unlimited pool stays separate.
-    assert_eq!(session.stats().solver_pools, 2, "depth shape gets its own shared pool");
 }
 
 /// Random small connected graphs for the property sweep.
@@ -288,14 +208,10 @@ proptest! {
     fn session_replay_is_bit_identical(
         g in small_graph(),
         seed in any::<u64>(),
-        engine_pick in 0u8..3,
+        adaptive in any::<bool>(),
         ks in proptest::collection::vec(2usize..4, 2..5),
     ) {
-        let engine = match engine_pick {
-            0 => EngineKind::Scalar,
-            1 => EngineKind::BitParallel,
-            _ => EngineKind::Adaptive,
-        };
+        let engine = if adaptive { EngineKind::Adaptive } else { EngineKind::Scalar };
         let cfg = ClusterConfig::default().with_seed(seed).with_engine(engine);
         let mut session = UgraphSession::new(&g, cfg.clone()).unwrap();
         for (i, &k) in ks.iter().enumerate() {

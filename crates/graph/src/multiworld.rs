@@ -74,7 +74,7 @@ pub fn lane_mask(lanes: usize) -> u64 {
 /// A block-width lane set: `W` words of 64 lanes each, lane `l` living in
 /// bit `l % 64` of word `l / 64`.
 ///
-/// This is the `BlockWidth` seam: every mask kernel is generic over `W`,
+/// This is the block-width seam: every mask kernel is generic over `W`,
 /// and all combining ops below compile to fixed-size-array loops that
 /// LLVM unrolls and autovectorizes (AVX2 for `W = 4`, AVX-512 where
 /// available for `W = 8`) on stable Rust.

@@ -9,11 +9,13 @@
 //! * the **scalar** backend walks one world per query step —
 //!   [`crate::ComponentPool`] (per-world component labels, unlimited
 //!   connectivity) and [`crate::WorldPool`] (per-world edge bitsets,
-//!   depth-limited BFS);
-//! * the **bit-parallel** backend ([`crate::BitParallelPool`]) packs 64
-//!   worlds per machine word as structure-of-arrays edge masks and answers
-//!   64 worlds per traversal with mask-propagating multi-world BFS
-//!   ([`ugraph_graph::MultiWorldBfs`]).
+//!   depth-limited BFS). It is the independent reference the other backend
+//!   is checked against;
+//! * the **adaptive** backend ([`crate::BitParallelPool`]) packs 256 worlds
+//!   per block as structure-of-arrays edge masks, answers depth-limited
+//!   queries with mask-propagating multi-world BFS
+//!   ([`ugraph_graph::MultiWorldBfs`]), and lazily finalizes per-block
+//!   component labels for unlimited-depth rows.
 //!
 //! Backends draw world `i` from the same per-index RNG stream, so for a
 //! fixed master seed every backend holds **bit-identical worlds** and
@@ -40,20 +42,16 @@ pub enum EngineKind {
     /// One world per query step: component labels for unlimited
     /// connectivity, per-world bounded BFS for depth-limited queries.
     Scalar,
-    /// 64 worlds per machine word: structure-of-arrays edge masks queried
-    /// with mask-propagating multi-world BFS. Kept as the pure-mask
-    /// backend for benchmarking; [`EngineKind::Adaptive`] dominates it on
-    /// unlimited-depth query workloads.
-    BitParallel,
-    /// The bit-parallel backend plus **lazy per-block component-label
-    /// finalization**: the first unlimited-depth row query against a
-    /// block materializes per-lane component labels and per-node
-    /// giant-component lane masks (one component-sharing fixpoint sweep per
-    /// block) and caches them next to the edge masks, so every later row
-    /// over that block is one AND + popcount pass over the lanes where the
-    /// center is in the giant plus a mask traversal of its small components
-    /// elsewhere, and pairs are label compares — while generation and
-    /// depth-limited queries stay pure bit-parallel.
+    /// 256 worlds per block as structure-of-arrays edge masks, plus **lazy
+    /// per-block component-label finalization**: the first unlimited-depth
+    /// row query against a block materializes per-lane component labels and
+    /// per-node giant-component lane masks (one component-sharing fixpoint
+    /// sweep per block) and caches them next to the edge masks, so every
+    /// later row over that block is one AND + popcount pass over the lanes
+    /// where the center is in the giant plus a mask traversal of its small
+    /// components elsewhere, and pairs are label compares — while
+    /// generation and depth-limited queries stay pure mask work. The
+    /// default.
     #[default]
     Adaptive,
 }
@@ -63,7 +61,6 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Scalar => "scalar",
-            EngineKind::BitParallel => "bitparallel",
             EngineKind::Adaptive => "adaptive",
         }
     }
@@ -72,70 +69,45 @@ impl EngineKind {
     pub fn from_name(name: &str) -> Option<EngineKind> {
         match name {
             "scalar" => Some(EngineKind::Scalar),
-            "bitparallel" => Some(EngineKind::BitParallel),
             "adaptive" => Some(EngineKind::Adaptive),
             _ => None,
         }
     }
 }
 
-/// Block width of the bit-parallel backends: how many worlds one mask
-/// block packs, i.e. the `W` of [`ugraph_graph::Mask`]`<W>` (`W · 64`
-/// worlds per block). Wider blocks answer more worlds per traversal at the
-/// cost of proportionally larger per-block mask memory (`m · W · 8` bytes
-/// per block even when only a tail of its lanes is populated). Counts are
-/// **bit-identical at every width** — world `i` always comes from per-index
-/// RNG stream `i` — so the knob is purely a performance/memory trade.
-/// Ignored by the scalar backend.
+/// Block width of the adaptive backend: 256 worlds per block, the `W = 4`
+/// of [`ugraph_graph::Mask`]`<W>`. A single value, kept only because the
+/// end-to-end benchmark harness and the v2 wire protocol still name it; it
+/// goes in a later benchmark change together with protocol v3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BlockWidth {
-    /// 64 worlds per block (one `u64` word per edge).
-    W64,
-    /// 256 worlds per block (four words per edge) — the default: wide
-    /// enough for the AND+popcount sweeps to autovectorize, narrow enough
-    /// to keep partial-tail waste small.
+    /// 256 worlds per block (four `u64` words per edge).
     #[default]
     W256,
-    /// 512 worlds per block (eight words per edge).
-    W512,
 }
 
 impl BlockWidth {
-    /// Worlds per block at this width.
-    pub fn worlds(self) -> usize {
-        match self {
-            BlockWidth::W64 => 64,
-            BlockWidth::W256 => 256,
-            BlockWidth::W512 => 512,
-        }
-    }
-
-    /// Short stable name, used in CLI flags and benchmark labels.
+    /// Short stable name, used in wire frames and server stats.
     pub fn name(self) -> &'static str {
         match self {
-            BlockWidth::W64 => "64",
             BlockWidth::W256 => "256",
-            BlockWidth::W512 => "512",
         }
     }
 
-    /// Parses the name produced by [`BlockWidth::name`] (CLI flag values).
+    /// Parses the name produced by [`BlockWidth::name`].
     pub fn from_name(name: &str) -> Option<BlockWidth> {
         match name {
-            "64" => Some(BlockWidth::W64),
             "256" => Some(BlockWidth::W256),
-            "512" => Some(BlockWidth::W512),
             _ => None,
         }
     }
 }
 
 /// Counters describing the adaptive backend's lazy block finalization (all
-/// zero for backends without finalization — scalar pools and the pure-mask
-/// bit-parallel pool).
+/// zero for the scalar pools).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// 64-world blocks currently holding finalized component labels.
+    /// Mask blocks currently holding finalized component labels.
     pub finalized_blocks: usize,
     /// World lanes ever labeled. Monotone, and each lane is labeled **at
     /// most once per residency**: growing a pool appends new lanes but
@@ -505,12 +477,13 @@ mod tests {
     fn engine_kind_defaults_and_names() {
         assert_eq!(EngineKind::default(), EngineKind::Adaptive);
         assert_eq!(EngineKind::Scalar.name(), "scalar");
-        assert_eq!(EngineKind::BitParallel.name(), "bitparallel");
         assert_eq!(EngineKind::Adaptive.name(), "adaptive");
-        for kind in [EngineKind::Scalar, EngineKind::BitParallel, EngineKind::Adaptive] {
+        for kind in [EngineKind::Scalar, EngineKind::Adaptive] {
             assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
         }
-        assert_eq!(EngineKind::from_name("gpu"), None);
+        for retired in ["gpu", "bitparallel"] {
+            assert_eq!(EngineKind::from_name(retired), None);
+        }
     }
 
     #[test]

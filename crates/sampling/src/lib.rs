@@ -19,9 +19,11 @@
 //!   to the size of the center's components, not `n·r`),
 //!   [`WorldPool`] (scalar; per-sample edge bitsets for **depth-limited**
 //!   d-connection probabilities of paper §3.4, evaluated by bounded BFS),
-//!   and [`BitParallelPool`] (64 worlds per machine word as
-//!   structure-of-arrays edge masks, queried by mask-propagating
-//!   multi-world BFS — one traversal answers 64 worlds);
+//!   both kept as the independent reference, and [`BitParallelPool`]
+//!   (the adaptive backend: 256 worlds per block as structure-of-arrays
+//!   edge masks, queried by mask-propagating multi-world BFS — one
+//!   traversal answers a whole block — plus lazily finalized per-block
+//!   component labels for unlimited-depth rows);
 //! * [`ExactOracle`]: exhaustive possible-world enumeration for small
 //!   graphs, used to validate the estimators and for tiny-instance
 //!   optimality tests;

@@ -17,7 +17,7 @@
 //!   evaluation).
 //!
 //! The Monte-Carlo oracles are built on the [`WorldEngine`] seam: each one
-//! owns a boxed engine, so the scalar and bit-parallel backends (selected
+//! owns a boxed engine, so the scalar and adaptive backends (selected
 //! by [`EngineKind`]) are interchangeable behind an unchanged oracle
 //! interface — and every backend yields bit-identical estimates for a
 //! fixed master seed.
@@ -32,7 +32,7 @@
 //! * **Batching** — [`Oracle::center_probs_batch`] fetches all candidate
 //!   rows of one greedy step through the engines' multi-center queries
 //!   (one pool sweep updating every row; multi-source mask BFS on the
-//!   bit-parallel backend). Oracles whose selection and cover rows always
+//!   adaptive backend). Oracles whose selection and cover rows always
 //!   coincide advertise it via [`Oracle::identical_rows`], and the batch
 //!   then writes each row **once**.
 //! * **Row caching** — the Monte-Carlo oracles keep, per center, the raw
@@ -624,8 +624,9 @@ impl<'g> McOracle<'g> {
         Self::with_engine(graph, seed, threads, schedule, epsilon, EngineKind::Scalar)
     }
 
-    /// Creates the oracle on the backend selected by `kind`, at the
-    /// default [`BlockWidth`].
+    /// Creates the oracle on the backend selected by `kind`: the scalar
+    /// [`ComponentPool`] or the adaptive [`BitParallelPool`] at 256-world
+    /// blocks.
     pub fn with_engine(
         graph: &'g UncertainGraph,
         seed: u64,
@@ -634,20 +635,17 @@ impl<'g> McOracle<'g> {
         epsilon: f64,
         kind: EngineKind,
     ) -> Self {
-        Self::with_engine_width(
-            graph,
-            seed,
-            threads,
-            schedule,
-            epsilon,
-            kind,
-            BlockWidth::default(),
-        )
+        let engine: Box<dyn WorldEngine + 'g> = match kind {
+            EngineKind::Scalar => Box::new(ComponentPool::new(graph, seed, threads)),
+            EngineKind::Adaptive => {
+                Box::new(BitParallelPool::<4>::new_adaptive(graph, seed, threads))
+            }
+        };
+        Self::from_engine(engine, schedule, epsilon)
     }
 
-    /// Creates the oracle on the backend selected by `kind` with the
-    /// bit-parallel block width selected by `width` (ignored by the scalar
-    /// backend). Estimates are bit-identical at every width.
+    /// [`McOracle::with_engine`] with an explicit [`BlockWidth`], whose only
+    /// value is the adaptive backend's 256-world block.
     #[allow(clippy::too_many_arguments)]
     pub fn with_engine_width(
         graph: &'g UncertainGraph,
@@ -658,28 +656,8 @@ impl<'g> McOracle<'g> {
         kind: EngineKind,
         width: BlockWidth,
     ) -> Self {
-        let engine: Box<dyn WorldEngine + 'g> = match (kind, width) {
-            (EngineKind::Scalar, _) => Box::new(ComponentPool::new(graph, seed, threads)),
-            (EngineKind::BitParallel, BlockWidth::W64) => {
-                Box::new(BitParallelPool::<1>::new(graph, seed, threads))
-            }
-            (EngineKind::BitParallel, BlockWidth::W256) => {
-                Box::new(BitParallelPool::<4>::new(graph, seed, threads))
-            }
-            (EngineKind::BitParallel, BlockWidth::W512) => {
-                Box::new(BitParallelPool::<8>::new(graph, seed, threads))
-            }
-            (EngineKind::Adaptive, BlockWidth::W64) => {
-                Box::new(BitParallelPool::<1>::new_adaptive(graph, seed, threads))
-            }
-            (EngineKind::Adaptive, BlockWidth::W256) => {
-                Box::new(BitParallelPool::<4>::new_adaptive(graph, seed, threads))
-            }
-            (EngineKind::Adaptive, BlockWidth::W512) => {
-                Box::new(BitParallelPool::<8>::new_adaptive(graph, seed, threads))
-            }
-        };
-        Self::from_engine(engine, schedule, epsilon)
+        let BlockWidth::W256 = width;
+        Self::with_engine(graph, seed, threads, schedule, epsilon, kind)
     }
 
     /// Wraps an already-built engine (the generic seam for future
@@ -986,7 +964,7 @@ impl Oracle for McOracle<'_> {
 /// Monte-Carlo oracle for **depth-limited** d-connection probabilities
 /// (paper §3.4), backed by a depth-capable [`WorldEngine`] — per-world
 /// bounded BFS on the scalar backend, mask-propagating multi-world BFS on
-/// the bit-parallel backend.
+/// the adaptive backend.
 ///
 /// `d_select` is the selection depth `d'` (paths counted when choosing a
 /// center, Algorithm 4 line 5) and `d_cover` the cover depth `d` (paths
@@ -1038,8 +1016,9 @@ impl<'g> DepthMcOracle<'g> {
         )
     }
 
-    /// Creates the oracle on the backend selected by `kind`, at the
-    /// default [`BlockWidth`].
+    /// Creates the oracle on the backend selected by `kind`: the scalar
+    /// [`WorldPool`] or the adaptive [`BitParallelPool`] at 256-world
+    /// blocks.
     ///
     /// # Errors
     /// Returns [`SamplingError::InvalidDepths`] if `d_select > d_cover`.
@@ -1054,22 +1033,17 @@ impl<'g> DepthMcOracle<'g> {
         d_cover: u32,
         kind: EngineKind,
     ) -> Result<Self, SamplingError> {
-        Self::with_engine_width(
-            graph,
-            seed,
-            threads,
-            schedule,
-            epsilon,
-            d_select,
-            d_cover,
-            kind,
-            BlockWidth::default(),
-        )
+        let engine: Box<dyn WorldEngine + 'g> = match kind {
+            EngineKind::Scalar => Box::new(WorldPool::new(graph, seed, threads)),
+            EngineKind::Adaptive => {
+                Box::new(BitParallelPool::<4>::new_adaptive(graph, seed, threads))
+            }
+        };
+        Self::from_engine(engine, schedule, epsilon, d_select, d_cover)
     }
 
-    /// Creates the oracle on the backend selected by `kind` with the
-    /// bit-parallel block width selected by `width` (ignored by the scalar
-    /// backend). Estimates are bit-identical at every width.
+    /// [`DepthMcOracle::with_engine`] with an explicit [`BlockWidth`], whose
+    /// only value is the adaptive backend's 256-world block.
     ///
     /// # Errors
     /// Returns [`SamplingError::InvalidDepths`] if `d_select > d_cover`.
@@ -1085,28 +1059,8 @@ impl<'g> DepthMcOracle<'g> {
         kind: EngineKind,
         width: BlockWidth,
     ) -> Result<Self, SamplingError> {
-        let engine: Box<dyn WorldEngine + 'g> = match (kind, width) {
-            (EngineKind::Scalar, _) => Box::new(WorldPool::new(graph, seed, threads)),
-            (EngineKind::BitParallel, BlockWidth::W64) => {
-                Box::new(BitParallelPool::<1>::new(graph, seed, threads))
-            }
-            (EngineKind::BitParallel, BlockWidth::W256) => {
-                Box::new(BitParallelPool::<4>::new(graph, seed, threads))
-            }
-            (EngineKind::BitParallel, BlockWidth::W512) => {
-                Box::new(BitParallelPool::<8>::new(graph, seed, threads))
-            }
-            (EngineKind::Adaptive, BlockWidth::W64) => {
-                Box::new(BitParallelPool::<1>::new_adaptive(graph, seed, threads))
-            }
-            (EngineKind::Adaptive, BlockWidth::W256) => {
-                Box::new(BitParallelPool::<4>::new_adaptive(graph, seed, threads))
-            }
-            (EngineKind::Adaptive, BlockWidth::W512) => {
-                Box::new(BitParallelPool::<8>::new_adaptive(graph, seed, threads))
-            }
-        };
-        Self::from_engine(engine, schedule, epsilon, d_select, d_cover)
+        let BlockWidth::W256 = width;
+        Self::with_engine(graph, seed, threads, schedule, epsilon, d_select, d_cover, kind)
     }
 
     /// Wraps an already-built depth-capable engine.
@@ -1638,14 +1592,8 @@ mod tests {
         let g = chain(9, 0.6);
         let mut scalar =
             McOracle::with_engine(&g, 7, 1, SampleSchedule::Fixed(90), 0.1, EngineKind::Scalar);
-        let mut bit = McOracle::with_engine(
-            &g,
-            7,
-            1,
-            SampleSchedule::Fixed(90),
-            0.1,
-            EngineKind::BitParallel,
-        );
+        let mut bit =
+            McOracle::with_engine(&g, 7, 1, SampleSchedule::Fixed(90), 0.1, EngineKind::Adaptive);
         scalar.prepare(0.5).unwrap();
         bit.prepare(0.5).unwrap();
         assert_eq!(scalar.num_samples(), bit.num_samples());
@@ -1694,7 +1642,7 @@ mod tests {
         let mut scalar =
             DepthMcOracle::with_engine(&g, 3, 1, schedule, 0.1, 1, 3, EngineKind::Scalar).unwrap();
         let mut bit =
-            DepthMcOracle::with_engine(&g, 3, 1, schedule, 0.1, 1, 3, EngineKind::BitParallel)
+            DepthMcOracle::with_engine(&g, 3, 1, schedule, 0.1, 1, 3, EngineKind::Adaptive)
                 .unwrap();
         scalar.prepare(0.5).unwrap();
         bit.prepare(0.5).unwrap();
@@ -1726,7 +1674,7 @@ mod tests {
     #[test]
     fn row_cache_serves_identical_estimates_across_growth() {
         let g = chain(8, 0.6);
-        for kind in [EngineKind::Scalar, EngineKind::BitParallel] {
+        for kind in [EngineKind::Scalar, EngineKind::Adaptive] {
             let mut cached =
                 McOracle::with_engine(&g, 11, 1, SampleSchedule::practical(), 0.1, kind);
             let mut plain =
@@ -1794,7 +1742,7 @@ mod tests {
     fn depth_oracle_cache_identical_across_growth() {
         let g = chain(9, 0.7);
         let schedule = SampleSchedule::practical();
-        for kind in [EngineKind::Scalar, EngineKind::BitParallel] {
+        for kind in [EngineKind::Scalar, EngineKind::Adaptive] {
             // Distinct depths: two stored rows per center.
             let mut cached =
                 DepthMcOracle::with_engine(&g, 5, 1, schedule, 0.1, 1, 3, kind).unwrap();
@@ -1906,7 +1854,7 @@ mod tests {
         // 50-world prefix a fresh oracle would use — including rows that
         // were cached at larger coverage (rebuilt over the window).
         let g = chain(9, 0.6);
-        for kind in [EngineKind::Scalar, EngineKind::BitParallel] {
+        for kind in [EngineKind::Scalar, EngineKind::Adaptive] {
             let mut warm = McOracle::with_engine(&g, 7, 1, SampleSchedule::practical(), 0.1, kind);
             warm.prepare(0.1).unwrap(); // grows active + physical to 500
             let mut scratch = vec![0.0; 9];
@@ -1953,7 +1901,7 @@ mod tests {
     fn begin_request_depth_oracle_identical_to_fresh() {
         let g = chain(8, 0.7);
         let schedule = SampleSchedule::practical();
-        for kind in [EngineKind::Scalar, EngineKind::BitParallel] {
+        for kind in [EngineKind::Scalar, EngineKind::Adaptive] {
             let mut warm = DepthMcOracle::with_engine(&g, 3, 1, schedule, 0.1, 1, 3, kind).unwrap();
             warm.prepare(0.1).unwrap();
             let (mut s, mut c) = (vec![0.0; 8], vec![0.0; 8]);

@@ -15,17 +15,19 @@
 //!   center queries only walk the center's component members;
 //! * [`WorldPool`] — scalar, depth-limited: each world is kept as an edge
 //!   bitset and queried with one bounded BFS per world;
-//! * [`BitParallelPool`] — bit-parallel blocks: 64 worlds per machine word
-//!   as structure-of-arrays edge masks (`masks[e]` spans 64 worlds of one
-//!   block), queried with mask-propagating multi-world BFS — one traversal
-//!   answers 64 worlds, for both unlimited and depth-limited semantics.
+//! * [`BitParallelPool`] — the adaptive backend: `W · 64` worlds per block
+//!   (256 in production) as structure-of-arrays edge masks (`masks[e]`
+//!   spans the worlds of one block), queried with mask-propagating
+//!   multi-world BFS — one traversal answers a whole block, for both
+//!   unlimited and depth-limited semantics — plus lazily finalized
+//!   per-block component labels for unlimited-depth rows.
 //!
 //! ## Parallelism
 //!
 //! Generation (`ensure`) and the Monte-Carlo aggregation queries
 //! (`counts_from_center`, `counts_within_depths`, `pair_count*`) run on
 //! rayon, gated by the shared [`crate::tuning`] heuristics. Queries
-//! partition their work items (sample rows, worlds, or 64-world blocks)
+//! partition their work items (sample rows, worlds, or mask blocks)
 //! into chunks, accumulate per-chunk integer count vectors, and merge
 //! them — so every estimate is bit-identical no matter how many threads
 //! run, which the property tests assert.
@@ -1812,9 +1814,9 @@ struct MaskBlock<const W: usize> {
     /// Number of valid lanes (worlds) in this block; only the last block
     /// of a pool can be partial.
     lanes: u32,
-    /// Lazily finalized component labels and giant masks (adaptive mode
-    /// only); covers the first `labels.labeled` lanes, never invalidated —
-    /// a lane top-up extends the labels, it does not recompute them.
+    /// Lazily finalized component labels and giant masks; covers the first
+    /// `labels.labeled` lanes, never invalidated — a lane top-up extends
+    /// the labels, it does not recompute them.
     labels: Option<BlockLabels<W>>,
     /// Mask-path unlimited point queries absorbed while unfinalized — the
     /// input of [`finalize_on_unlimited_query`].
@@ -1874,14 +1876,18 @@ fn shard_block<const W: usize>(shards: &[BlockShard<W>], b: usize) -> &MaskBlock
     &shards[b / blocks_per_shard::<W>()].blocks[b % blocks_per_shard::<W>()]
 }
 
-/// The **bit-parallel** backend of [`WorldEngine`]: worlds stored in
-/// blocks of 64 as structure-of-arrays edge masks, queried with
-/// mask-propagating multi-world BFS ([`MultiWorldBfs`]).
+/// The **adaptive** backend of [`WorldEngine`]: worlds stored in blocks
+/// of `B = W · 64` as structure-of-arrays edge masks, queried with
+/// mask-propagating multi-world BFS ([`MultiWorldBfs`]) and, for
+/// unlimited-depth rows, lazily finalized per-block component labels (see
+/// [`BitParallelPool::new_adaptive`]). Production runs at `W = 4` (256
+/// worlds per block); other widths give the tests cheap coverage across
+/// many blocks.
 ///
-/// One traversal answers 64 worlds at once, so queries cost
-/// `O((n + m) · ⌈r/64⌉)` word operations instead of `r` per-world walks —
-/// and generation skips the per-world union-find/labeling pass entirely.
-/// World `i` lives in lane `i % 64` of block `i / 64` and is drawn from
+/// One traversal answers `B` worlds at once, so queries cost
+/// `O((n + m) · W · ⌈r/B⌉)` word operations instead of `r` per-world
+/// walks — and generation skips the per-world union-find/labeling pass
+/// entirely. World `i` lives in lane `i % B` of block `i / B` and is drawn from
 /// per-index RNG stream `i`, so the pool is world-for-world identical to
 /// the scalar pools under the same master seed (property-tested). Blocks
 /// are grouped into [`SHARD_BLOCKS`]-block shards charged against a
@@ -1898,9 +1904,6 @@ pub struct BitParallelPool<'g, const W: usize = 1> {
     /// Reusable `(block, lane mask)` work-item buffer of the ranged query
     /// paths (allocation-free single-row queries).
     items: Vec<(u32, Mask<W>)>,
-    /// Lazy per-block component-label finalization
-    /// ([`crate::EngineKind::Adaptive`]): off = pure-mask backend.
-    adaptive: bool,
     /// `true` = `u32` block labels (see [`Label`]).
     wide: bool,
     /// Finalization counters (see [`EngineStats`]).
@@ -1927,7 +1930,6 @@ impl<const W: usize> Clone for BitParallelPool<'_, W> {
             config: self.config.clone(),
             bfs: self.bfs.clone(),
             items: self.items.clone(),
-            adaptive: self.adaptive,
             wide: self.wide,
             stats: self.stats,
             budget: self.budget.clone(),
@@ -1948,10 +1950,20 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// Worlds per block at this width (`W · 64`).
     const BLOCK_LANES: usize = W * LANES;
 
-    /// Creates an empty **pure-mask** bit-parallel pool over `graph` with
-    /// master `seed` — every query runs mask BFS. `threads = 0` uses all
-    /// available cores.
-    pub fn new(graph: &'g UncertainGraph, seed: u64, threads: usize) -> Self {
+    /// Creates an empty pool over `graph` with master `seed`
+    /// (`threads = 0` uses all available cores), with **lazy block
+    /// finalization**: the first unlimited-depth row query against a block
+    /// materializes per-lane component labels and giant-component lane
+    /// masks (one component-sharing fixpoint sweep, cached next to the edge
+    /// masks); every later row over the block counts the center's giant
+    /// lanes with one AND + popcount pass and traverses only its small
+    /// components, and pairs compare labels. Point queries convert a block
+    /// only after repeated mask-path hits
+    /// ([`crate::tuning::finalize_on_unlimited_query`]), and multi-center
+    /// batches and depth-limited queries never finalize. Counts are
+    /// identical either way — finalization trades memory (one label per
+    /// node and world plus one giant bit) for mask traversals.
+    pub fn new_adaptive(graph: &'g UncertainGraph, seed: u64, threads: usize) -> Self {
         BitParallelPool {
             sampler: WorldSampler::new(graph, seed),
             shards: Vec::new(),
@@ -1959,7 +1971,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             config: ThreadConfig::new(threads),
             bfs: MultiWorldBfs::new(graph.num_nodes()),
             items: Vec::new(),
-            adaptive: false,
             wide: !narrow_fits(graph.num_nodes()),
             stats: EngineStats::default(),
             budget: MemoryBudget::unbounded(),
@@ -1967,40 +1978,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
             regenerated: 0,
             run: RunState::unlimited(),
         }
-    }
-
-    /// Creates an **adaptive** pool: bit-parallel blocks plus lazy
-    /// per-block component-label finalization (see
-    /// [`BitParallelPool::with_finalization`]).
-    pub fn new_adaptive(graph: &'g UncertainGraph, seed: u64, threads: usize) -> Self {
-        Self::new(graph, seed, threads).with_finalization(true)
-    }
-
-    /// Enables or disables lazy block finalization: with it on, the first
-    /// unlimited-depth row query against a block materializes per-lane
-    /// component labels and giant-component lane masks (one
-    /// component-sharing fixpoint sweep, cached next to the edge masks);
-    /// every later row over the block counts the center's giant lanes with
-    /// one AND + popcount pass and traverses only its small components,
-    /// and pairs compare labels. Point queries convert a block only after
-    /// repeated mask-path hits
-    /// ([`crate::tuning::finalize_on_unlimited_query`]). Counts are
-    /// identical either way — finalization trades memory (one label per
-    /// node and world plus one giant bit) for mask traversals.
-    /// Disabling drops existing labels.
-    pub fn with_finalization(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        if !adaptive {
-            for s in 0..self.shards.len() {
-                for block in &mut self.shards[s].blocks {
-                    block.labels = None;
-                    block.mask_queries = 0;
-                }
-                self.sync_shard_bytes(s);
-            }
-            self.stats = EngineStats::default();
-        }
-        self
     }
 
     /// Forces the wide (`u32`) label path even on small graphs (see
@@ -2151,7 +2128,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.samples.div_ceil(Self::BLOCK_LANES)
     }
 
-    /// Finalization counters (all zero for pure-mask pools).
+    /// Finalization counters (see [`EngineStats`]).
     pub fn engine_stats(&self) -> EngineStats {
         self.stats
     }
@@ -2183,7 +2160,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// the batch is worth it; a partially labeled block (the grown trailing
     /// block) extends **append-only** — labeled lanes are never recomputed.
     fn prepare_unlimited(&mut self, lo: usize, hi: usize, shape: UnlimitedShape) {
-        if !self.adaptive || lo >= hi || self.run.checkpoint(SamplingPhase::Labeling) {
+        if lo >= hi || self.run.checkpoint(SamplingPhase::Labeling) {
             return;
         }
         let graph = self.sampler.graph();
@@ -2353,10 +2330,9 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
 
     /// For every node `u`, the number of samples in which `u` is connected
     /// to `center` — per block, one connectivity-fixpoint traversal
-    /// popcounting the final reach masks; on a finalized block (adaptive
-    /// mode) the lanes where the center is in the giant component are
-    /// counted from the giant masks instead and the traversal covers only
-    /// the rest.
+    /// popcounting the final reach masks; on a finalized block the lanes
+    /// where the center is in the giant component are counted from the
+    /// giant masks instead and the traversal covers only the rest.
     ///
     /// # Panics
     /// Panics if `out.len() != n`.
@@ -2371,7 +2347,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// Amortization by **component sharing**: connectivity reach sets are
     /// per-component, so if centers `c_i` and `c_j` are connected in some
     /// of a block's worlds, their rows are identical in those worlds. Per
-    /// 64-world block, each center runs a mask BFS only over the worlds
+    /// block, each center runs a mask BFS only over the worlds
     /// where its component is still unknown; every later center found
     /// inside the traversed reach set inherits the reach masks for the
     /// shared worlds with one AND + popcount sweep instead of a
@@ -2391,7 +2367,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// Batched [`BitParallelPool::counts_from_center_range`]: one count row
     /// per requested center over the sample window `[lo, hi)`, with the
     /// same **component-sharing** amortization as
-    /// [`BitParallelPool::counts_from_centers`] — per overlapping 64-world
+    /// [`BitParallelPool::counts_from_centers`] — per overlapping
     /// block, each center traverses only the window lanes where its
     /// component is still unknown, and later centers found inside an
     /// earlier reach set inherit the shared worlds' rows with one
@@ -2427,13 +2403,11 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         // is labeled.
         let mut items = std::mem::take(&mut self.items);
         Self::range_blocks_into(lo, hi, &mut items);
-        if self.adaptive {
-            for &(b, lanes) in &items {
-                if shard_block(&self.shards, b as usize).split_lanes(lanes).1.is_zero() {
-                    self.stats.label_queries += 1;
-                } else {
-                    self.stats.mask_queries += 1;
-                }
+        for &(b, lanes) in &items {
+            if shard_block(&self.shards, b as usize).split_lanes(lanes).1.is_zero() {
+                self.stats.label_queries += 1;
+            } else {
+                self.stats.mask_queries += 1;
             }
         }
         let run = self.run.clone();
@@ -2570,7 +2544,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
 
     /// [`BitParallelPool::pair_count`] restricted to the samples with
     /// index in `[lo, hi)` — one masked fixpoint traversal per
-    /// overlapping 64-world block.
+    /// overlapping block.
     ///
     /// # Panics
     /// Panics if `lo > hi` or `hi > num_samples()`.
@@ -2622,7 +2596,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
 
     /// Depth-limited connection counts from `center` (same contract as
     /// [`WorldPool::counts_within_depths`]) — one depth-limited masked BFS
-    /// per 64-world block.
+    /// per block.
     ///
     /// # Panics
     /// Panics on buffer-size mismatch or `d_select > d_cover`.
@@ -2643,7 +2617,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// Batched [`BitParallelPool::counts_within_depths`]: rows row-major
     /// per center, computed with multi-source level-synchronous mask BFS
     /// in groups of up to [`MAX_SOURCES`] centers — one traversal per
-    /// 64-world block per group.
+    /// block per group.
     ///
     /// # Panics
     /// Panics on buffer-size mismatch or `d_select > d_cover`.
@@ -2664,7 +2638,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// Batched [`BitParallelPool::counts_within_depths_range`]: rows
     /// row-major per center over the sample window `[lo, hi)`, computed
     /// with multi-source level-synchronous mask BFS in groups of up to
-    /// [`MAX_SOURCES`] centers — one traversal per overlapping 64-world
+    /// [`MAX_SOURCES`] centers — one traversal per overlapping
     /// block per group, with lane masks narrowed to the window's worlds.
     ///
     /// # Panics
@@ -3253,7 +3227,7 @@ mod tests {
     #[test]
     fn bit_pool_blocks_and_lanes() {
         let g = chain(10, 0.5);
-        let mut pool = BitParallelPool::<1>::new(&g, 7, 1);
+        let mut pool = BitParallelPool::<1>::new_adaptive(&g, 7, 1);
         pool.ensure(1);
         assert_eq!((pool.num_samples(), pool.num_blocks()), (1, 1));
         pool.ensure(64);
@@ -3270,7 +3244,7 @@ mod tests {
         let mut scalar = WorldPool::new(&g, 99, 1);
         scalar.ensure(130);
         // Grown in uneven steps to exercise partial-block top-up.
-        let mut bit = BitParallelPool::<1>::new(&g, 99, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 99, 1);
         bit.ensure(10);
         bit.ensure(64);
         bit.ensure(70);
@@ -3291,7 +3265,7 @@ mod tests {
     fn bit_pool_counts_match_component_pool() {
         let g = chain(9, 0.5);
         let mut scalar = ComponentPool::new(&g, 42, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 42, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 42, 1);
         // 100 is deliberately not a multiple of 64.
         scalar.ensure(100);
         bit.ensure(100);
@@ -3315,7 +3289,7 @@ mod tests {
     fn bit_pool_depth_counts_match_world_pool() {
         let g = chain(10, 0.6);
         let mut scalar = WorldPool::new(&g, 5, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 5, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 5, 1);
         scalar.ensure(97);
         bit.ensure(97);
         let (mut s1, mut c1) = (vec![0u32; 10], vec![0u32; 10]);
@@ -3342,9 +3316,9 @@ mod tests {
     #[test]
     fn bit_pool_growth_schedule_invariant() {
         let g = chain(8, 0.5);
-        let mut a = BitParallelPool::<1>::new(&g, 13, 1);
+        let mut a = BitParallelPool::<1>::new_adaptive(&g, 13, 1);
         a.ensure(150);
-        let mut b = BitParallelPool::<1>::new(&g, 13, 4);
+        let mut b = BitParallelPool::<1>::new_adaptive(&g, 13, 4);
         b.ensure(3);
         b.ensure(66);
         b.ensure(150);
@@ -3360,7 +3334,7 @@ mod tests {
     #[test]
     fn bit_pool_empty_and_certain() {
         let g = chain(4, 1.0);
-        let mut pool = BitParallelPool::<1>::new(&g, 8, 1);
+        let mut pool = BitParallelPool::<1>::new_adaptive(&g, 8, 1);
         assert_eq!(pool.pair_estimate(NodeId(0), NodeId(3)), 0.0);
         pool.ensure(10);
         assert_eq!(pool.pair_estimate(NodeId(0), NodeId(3)), 1.0);
@@ -3379,7 +3353,7 @@ mod tests {
         }
         let g = chain(6, 0.7);
         let mut scalar = ComponentPool::new(&g, 3, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 3, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 3, 1);
         WorldEngine::ensure(&mut scalar, 70);
         WorldEngine::ensure(&mut bit, 70);
         assert_eq!(total_reach(&mut scalar, NodeId(2)), total_reach(&mut bit, NodeId(2)));
@@ -3399,7 +3373,7 @@ mod tests {
         let mut got = vec![0u32; k * 11];
         scalar.counts_from_centers(&centers, &mut got);
         assert_eq!(got, want, "component pool batch differs");
-        let mut bit = BitParallelPool::<1>::new(&g, 77, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 77, 1);
         bit.ensure(90);
         got.fill(0);
         bit.counts_from_centers(&centers, &mut got);
@@ -3415,7 +3389,7 @@ mod tests {
     fn ranged_counts_add_up_to_full_counts() {
         let g = chain(9, 0.55);
         let mut scalar = ComponentPool::new(&g, 5, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 5, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 5, 1);
         scalar.ensure(150);
         bit.ensure(150);
         let mut full = vec![0u32; 9];
@@ -3426,7 +3400,7 @@ mod tests {
             // Split points chosen to straddle the 64-world block boundary.
             for (engine, name) in [
                 (&mut scalar as &mut dyn WorldEngine, "scalar"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+                (&mut bit as &mut dyn WorldEngine, "adaptive"),
             ] {
                 acc.fill(0);
                 for w in [(0usize, 10usize), (10, 64), (64, 65), (65, 130), (130, 150)] {
@@ -3444,7 +3418,7 @@ mod tests {
     fn ranged_depth_counts_add_up_to_full_counts() {
         let g = chain(10, 0.6);
         let mut scalar = WorldPool::new(&g, 21, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 21, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 21, 1);
         scalar.ensure(100);
         bit.ensure(100);
         let (mut fs, mut fc) = (vec![0u32; 10], vec![0u32; 10]);
@@ -3452,7 +3426,7 @@ mod tests {
         let (mut ps, mut pc) = (vec![0u32; 10], vec![0u32; 10]);
         for (engine, name) in [
             (&mut scalar as &mut dyn WorldEngine, "scalar"),
-            (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+            (&mut bit as &mut dyn WorldEngine, "adaptive"),
         ] {
             let (mut acs, mut acc) = (vec![0u32; 10], vec![0u32; 10]);
             for w in [(0usize, 63usize), (63, 64), (64, 100)] {
@@ -3473,7 +3447,7 @@ mod tests {
         let centers: Vec<NodeId> = (0..10).map(NodeId).collect();
         let k = centers.len();
         let mut scalar = WorldPool::new(&g, 9, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 9, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 9, 1);
         scalar.ensure(97);
         bit.ensure(97);
         let (mut ws, mut wc) = (vec![0u32; k * 10], vec![0u32; k * 10]);
@@ -3501,7 +3475,7 @@ mod tests {
         let mut pool = ComponentPool::new(&g, 1, 1);
         pool.ensure(8);
         pool.counts_from_centers(&[], &mut []);
-        let mut bit = BitParallelPool::<1>::new(&g, 1, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 1, 1);
         bit.ensure(8);
         bit.counts_from_centers(&[], &mut []);
     }
@@ -3535,7 +3509,7 @@ mod tests {
         let n = 11;
         let mut scalar = ComponentPool::new(&g, 33, 1);
         let mut world = WorldPool::new(&g, 33, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 33, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 33, 1);
         scalar.ensure(150);
         world.ensure(150);
         bit.ensure(150);
@@ -3549,7 +3523,7 @@ mod tests {
             for (engine, name) in [
                 (&mut scalar as &mut dyn WorldEngine, "scalar"),
                 (&mut world as &mut dyn WorldEngine, "world"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+                (&mut bit as &mut dyn WorldEngine, "adaptive"),
             ] {
                 got.fill(0);
                 engine.counts_from_centers_range(&centers, lo, hi, &mut got);
@@ -3565,7 +3539,7 @@ mod tests {
         let k = centers.len();
         let n = 10;
         let mut scalar = WorldPool::new(&g, 13, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 13, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 13, 1);
         scalar.ensure(130);
         bit.ensure(130);
         for (lo, hi) in [(0usize, 50usize), (50, 64), (63, 65), (64, 130), (90, 90)] {
@@ -3584,7 +3558,7 @@ mod tests {
             let (mut gs, mut gc) = (vec![0u32; k * n], vec![0u32; k * n]);
             for (engine, name) in [
                 (&mut scalar as &mut dyn WorldEngine, "world"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+                (&mut bit as &mut dyn WorldEngine, "adaptive"),
             ] {
                 gs.fill(0);
                 gc.fill(0);
@@ -3600,7 +3574,7 @@ mod tests {
         let g = chain(10, 0.55);
         let mut scalar = ComponentPool::new(&g, 19, 1);
         let mut world = WorldPool::new(&g, 19, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 19, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 19, 1);
         scalar.ensure(150);
         world.ensure(150);
         bit.ensure(150);
@@ -3611,7 +3585,7 @@ mod tests {
             for (engine, name) in [
                 (&mut scalar as &mut dyn WorldEngine, "scalar"),
                 (&mut world as &mut dyn WorldEngine, "world"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+                (&mut bit as &mut dyn WorldEngine, "adaptive"),
             ] {
                 let sum: usize =
                     windows.iter().map(|&(lo, hi)| engine.pair_count_range(u, v, lo, hi)).sum();
@@ -3621,7 +3595,7 @@ mod tests {
             let full_d = world.pair_count_within(u, v, 3);
             for (engine, name) in [
                 (&mut world as &mut dyn WorldEngine, "world"),
-                (&mut bit as &mut dyn WorldEngine, "bitparallel"),
+                (&mut bit as &mut dyn WorldEngine, "adaptive"),
             ] {
                 let sum: usize = windows
                     .iter()
@@ -3637,21 +3611,25 @@ mod tests {
     #[test]
     fn adaptive_counts_match_scalar_and_pure_mask() {
         let g = chain(11, 0.5);
+        let centers: Vec<NodeId> = (0..11).map(NodeId).collect();
         let mut scalar = ComponentPool::new(&g, 6, 1);
-        let mut mask = BitParallelPool::<1>::new(&g, 6, 1);
+        // Multi-center batches never finalize, so this pool stays on the
+        // pure-mask path.
+        let mut mask = BitParallelPool::<1>::new_adaptive(&g, 6, 1);
         let mut adaptive = BitParallelPool::<1>::new_adaptive(&g, 6, 1);
         // 150 = 2 full blocks + a 22-lane tail.
         scalar.ensure(150);
         mask.ensure(150);
         adaptive.ensure(150);
         let mut a = vec![0u32; 11];
-        let mut b = vec![0u32; 11];
+        let mut b = vec![0u32; 11 * 11];
         let mut c = vec![0u32; 11];
+        mask.counts_from_centers(&centers, &mut b);
         for center in 0..11u32 {
             scalar.counts_from_center(NodeId(center), &mut a);
-            mask.counts_from_center(NodeId(center), &mut b);
             adaptive.counts_from_center(NodeId(center), &mut c);
-            assert_eq!(a, b, "mask center {center}");
+            let j = center as usize;
+            assert_eq!(a, b[j * 11..(j + 1) * 11], "mask center {center}");
             assert_eq!(a, c, "adaptive center {center}");
             for v in 0..11u32 {
                 assert_eq!(
@@ -3665,7 +3643,13 @@ mod tests {
         assert_eq!(stats.finalized_blocks, 3, "{stats:?}");
         assert_eq!(stats.finalized_lanes, 150, "{stats:?}");
         assert!(stats.label_queries > 0);
-        assert_eq!(mask.engine_stats(), EngineStats::default(), "pure-mask pool reports no stats");
+        let mask_stats = mask.engine_stats();
+        assert_eq!(
+            (mask_stats.finalized_blocks, mask_stats.label_queries),
+            (0, 0),
+            "{mask_stats:?}"
+        );
+        assert_eq!(mask_stats.mask_queries, 3, "one mask block-query per block");
     }
 
     #[test]
@@ -3816,7 +3800,7 @@ mod tests {
         let g = chain(9, 0.5);
         let centers: Vec<NodeId> = (0..9).map(NodeId).collect();
         let n = 9;
-        let mut bit = BitParallelPool::<1>::new(&g, 8, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 8, 1);
         bit.ensure(150);
         let mut full = vec![0u32; 9 * n];
         bit.counts_from_centers(&centers, &mut full);

@@ -270,7 +270,7 @@ mod tests {
     fn queries_agree_across_backends() {
         let g = star();
         let mut scalar = ComponentPool::new(&g, 5, 1);
-        let mut bit = BitParallelPool::<1>::new(&g, 5, 1);
+        let mut bit = BitParallelPool::<1>::new_adaptive(&g, 5, 1);
         scalar.ensure(777);
         bit.ensure(777);
         assert_eq!(

@@ -35,7 +35,7 @@ fn component_rows(pool: &mut ComponentPool<'_>, n: usize) -> Vec<u32> {
     out
 }
 
-fn bitparallel_rows(pool: &mut BitParallelPool<'_>, n: usize) -> Vec<u32> {
+fn adaptive_rows(pool: &mut BitParallelPool<'_>, n: usize) -> Vec<u32> {
     let mut out = Vec::with_capacity(n * n);
     let mut row = vec![0u32; n];
     for c in 0..n as u32 {
@@ -90,17 +90,17 @@ proptest! {
         prop_assert!(stats.shards_evicted > 0, "scalar: budget 64 B never evicted");
         prop_assert!(stats.shards_regenerated > 0, "scalar: nothing was regenerated");
 
-        let mut plain = BitParallelPool::new(&g, seed, 1);
+        let mut plain = BitParallelPool::new_adaptive(&g, seed, 1);
         plain.ensure(r);
-        let want = bitparallel_rows(&mut plain, n);
-        let mut tight = BitParallelPool::new(&g, seed, 1);
+        let want = adaptive_rows(&mut plain, n);
+        let mut tight = BitParallelPool::new_adaptive(&g, seed, 1);
         tight.set_memory_budget(tiny.clone());
         tight.ensure(r);
-        prop_assert_eq!(&bitparallel_rows(&mut tight, n), &want, "bitparallel: first pass");
-        prop_assert_eq!(&bitparallel_rows(&mut tight, n), &want, "bitparallel: requery");
+        prop_assert_eq!(&adaptive_rows(&mut tight, n), &want, "adaptive: first pass");
+        prop_assert_eq!(&adaptive_rows(&mut tight, n), &want, "adaptive: requery");
         let stats = tight.memory_stats();
-        prop_assert!(stats.shards_evicted > 0, "bitparallel: budget 64 B never evicted");
-        prop_assert!(stats.shards_regenerated > 0, "bitparallel: nothing was regenerated");
+        prop_assert!(stats.shards_evicted > 0, "adaptive: budget 64 B never evicted");
+        prop_assert!(stats.shards_regenerated > 0, "adaptive: nothing was regenerated");
 
         let mut plain = WorldPool::new(&g, seed, 1);
         plain.ensure(r);
@@ -139,14 +139,14 @@ proptest! {
         );
         prop_assert_eq!(stats.bytes_limit, Some(limit));
 
-        let mut pool = BitParallelPool::new(&g, seed, 1);
+        let mut pool = BitParallelPool::new_adaptive(&g, seed, 1);
         pool.set_memory_budget(MemoryBudget::bounded(limit));
         pool.ensure(r);
-        bitparallel_rows(&mut pool, n);
+        adaptive_rows(&mut pool, n);
         let stats = pool.memory_stats();
         prop_assert!(
             stats.bytes_held <= limit,
-            "bitparallel holds {} bytes over the {} limit", stats.bytes_held, limit
+            "adaptive holds {} bytes over the {} limit", stats.bytes_held, limit
         );
 
         let mut pool = WorldPool::new(&g, seed, 1);

@@ -159,15 +159,16 @@ pub enum WireDepth {
 }
 
 /// One cluster call as it travels over the wire: the session shape the
-/// registry resolves (`graph`, `engine`, `width`) plus the request proper
-/// (objective, `k`, depths, optional deadline).
+/// registry resolves (`graph`, `engine`) plus the request proper
+/// (objective, `k`, depths, optional deadline). `width` is a v2 field with
+/// a single legal value (`"256"`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterCall {
     /// Name of the graph to query (a dataset loaded at serve time).
     pub graph: String,
     /// Engine backend ([`EngineKind::name`] form).
     pub engine: EngineKind,
-    /// Mask-block width ([`BlockWidth::name`] form).
+    /// Mask-block width ([`BlockWidth::name`] form; only `"256"`).
     pub width: BlockWidth,
     /// MCP or ACP.
     pub objective: Objective,
@@ -1274,7 +1275,7 @@ mod tests {
             sessions: vec![SessionEntry {
                 graph: "collins".into(),
                 engine: "scalar".into(),
-                width: "64".into(),
+                width: "256".into(),
                 in_flight: 1,
                 kv: "requests=2 evaluations=0".into(),
             }],

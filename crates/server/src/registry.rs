@@ -1,5 +1,5 @@
-//! The [`SessionRegistry`]: one session per `(graph, engine, width)`
-//! shape, leased to workers, under one global memory budget.
+//! The [`SessionRegistry`]: one session per `(graph, engine)` shape,
+//! leased to workers, under one global memory budget.
 //!
 //! The registry generalizes the per-session ledger of the solver stack to
 //! a **server-wide** one: every session it spawns charges a
@@ -40,14 +40,12 @@ pub struct SessionKey {
     pub graph: String,
     /// Engine backend.
     pub engine: EngineKind,
-    /// Mask-block width.
-    pub width: BlockWidth,
 }
 
 impl SessionKey {
     /// The key a wire call resolves to.
     pub fn of_call(call: &ClusterCall) -> SessionKey {
-        SessionKey { graph: call.graph.clone(), engine: call.engine, width: call.width }
+        SessionKey { graph: call.graph.clone(), engine: call.engine }
     }
 }
 
@@ -55,9 +53,9 @@ impl SessionKey {
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
     /// Base solver configuration for every session (seed, schedule,
-    /// thresholds, cancellation token, …). The engine and block width are
-    /// overridden per [`SessionKey`]; `memory_budget` is ignored in favor
-    /// of the ledger plumbing below.
+    /// thresholds, cancellation token, …). The engine is overridden per
+    /// [`SessionKey`]; `memory_budget` is ignored in favor of the ledger
+    /// plumbing below.
     pub base: ClusterConfig,
     /// Global byte ceiling across **all** sessions (`None` = unbounded).
     pub global_budget: Option<usize>,
@@ -276,7 +274,7 @@ impl SessionRegistry {
         // its pools will want the budget's headroom immediately.
         self.make_headroom()?;
 
-        let config = self.config.base.clone().with_engine(key.engine).with_block_width(key.width);
+        let config = self.config.base.clone().with_engine(key.engine);
         let ledger = self.global.subledger(self.config.session_budget);
         let handle = SessionHandle::spawn_with_ledger(Arc::clone(graph), config, ledger.clone())
             .map_err(RegistryError::Session)?;
@@ -428,7 +426,7 @@ impl SessionRegistry {
             entries.push(SessionEntry {
                 graph: key.graph,
                 engine: key.engine.name().to_string(),
-                width: key.width.name().to_string(),
+                width: BlockWidth::default().name().to_string(),
                 in_flight: load as u32,
                 kv,
             });
@@ -490,7 +488,7 @@ mod tests {
         ClusterCall {
             graph: graph.into(),
             engine: EngineKind::Scalar,
-            width: BlockWidth::W64,
+            width: BlockWidth::default(),
             objective: Objective::MinProb,
             k: 2,
             depth: WireDepth::Unlimited,

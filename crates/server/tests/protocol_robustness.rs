@@ -45,7 +45,7 @@ fn good_call() -> ClusterCall {
     ClusterCall {
         graph: "g".into(),
         engine: EngineKind::Scalar,
-        width: BlockWidth::W64,
+        width: BlockWidth::default(),
         objective: ugraph_cluster::Objective::MinProb,
         k: 2,
         depth: WireDepth::Unlimited,
@@ -64,6 +64,19 @@ fn with_fixed_len(mut frame: Vec<u8>) -> Vec<u8> {
     let len = (frame.len() - 4) as u32;
     frame[..4].copy_from_slice(&len.to_le_bytes());
     frame
+}
+
+/// Replaces the first length-prefixed wire string `old` in `frame` with
+/// `new`, keeping the frame well-formed.
+fn with_wire_string(frame: Vec<u8>, old: &str, new: &str) -> Vec<u8> {
+    let mut needle = (old.len() as u32).to_le_bytes().to_vec();
+    needle.extend_from_slice(old.as_bytes());
+    let at = frame.windows(needle.len()).position(|w| w == needle).unwrap();
+    let mut forged = frame[..at].to_vec();
+    forged.extend_from_slice(&(new.len() as u32).to_le_bytes());
+    forged.extend_from_slice(new.as_bytes());
+    forged.extend_from_slice(&frame[at + needle.len()..]);
+    with_fixed_len(forged)
 }
 
 fn expect_error_then_close(server: &RunningServer, frame: &[u8], code: ErrorCode) {
@@ -128,20 +141,21 @@ fn forged_frames_get_typed_errors_and_never_kill_the_server() {
     // A zero-length frame.
     expect_error_then_close(&server, &0u32.to_le_bytes(), ErrorCode::Oversized);
 
-    // A bogus engine name inside an otherwise well-formed frame.
-    let bogus = encode_request(&Request::Cluster(good_call()));
-    let needle = b"scalar";
-    let at = bogus.windows(needle.len()).position(|w| w == needle).unwrap();
-    let mut wrong_engine = bogus.clone();
-    wrong_engine[at..at + needle.len()].copy_from_slice(b"quantm");
-    expect_error_then_close(&server, &wrong_engine, ErrorCode::Malformed);
+    // A bogus or retired engine or width name inside an otherwise
+    // well-formed frame.
+    for (field, forged) in
+        [("scalar", "quantm"), ("scalar", "bitparallel"), ("256", "64"), ("256", "512")]
+    {
+        let frame = with_wire_string(valid_frame(), field, forged);
+        expect_error_then_close(&server, &frame, ErrorCode::Malformed);
+    }
 
-    // After six hostile connections the single worker still answers, and
+    // After nine hostile connections the single worker still answers, and
     // the damage is tallied.
     let mut client = Client::connect(server.addr()).unwrap();
     assert!(client.cluster(&good_call()).unwrap().is_ok());
     let stats = client.stats(None).unwrap().unwrap();
-    assert_eq!(stats.protocol_errors, 6);
+    assert_eq!(stats.protocol_errors, 9);
     assert_eq!(stats.cluster_requests, 1);
 }
 

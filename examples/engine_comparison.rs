@@ -1,13 +1,13 @@
-//! Backend selection on the `WorldEngine` seam: scalar per-world pools
-//! versus the bit-parallel block pool (64 worlds per machine word)
-//! versus the adaptive backend (bit-parallel + lazy per-block
-//! component-label finalization, the default).
+//! Backend selection on the `WorldEngine` seam: the scalar per-world
+//! pools (the reference) versus the adaptive backend (256-world mask
+//! blocks plus lazy per-block component-label finalization, the default).
 //!
 //! Demonstrates (a) selecting the Monte-Carlo backend through
 //! `ClusterConfig::with_engine`, (b) that both backends produce
 //! **identical** clusterings and estimates for a fixed seed, and (c) the
-//! raw timing difference on pool generation and depth-limited queries,
-//! where one masked traversal answers 64 sampled worlds at once.
+//! raw timing difference on depth-limited queries, where one masked
+//! traversal answers a whole block of sampled worlds, and on unlimited
+//! rows served from finalized labels.
 //!
 //! Run with: `cargo run --release --example engine_comparison`
 
@@ -26,35 +26,34 @@ fn main() {
     // The engine knob is threaded through mcp/acp (and their depth
     // variants) into every probability estimate; backends hold
     // bit-identical worlds, so results agree exactly — the knob trades
-    // nothing but time. Depth-limited clustering (paper §3.4) is the
-    // workload where the bit-parallel backend shines: the scalar oracle
-    // runs one bounded BFS per sampled world, the bit-parallel one a
-    // single masked traversal per 64-world block.
+    // nothing but time. Depth-limited clustering (paper §3.4) runs one
+    // bounded BFS per sampled world on the scalar oracle, and a single
+    // masked traversal per 256-world block on the adaptive one.
     let (k, d) = (40, 3);
     let scalar_cfg = ClusterConfig::default().with_seed(11).with_engine(EngineKind::Scalar);
-    let bit_cfg = ClusterConfig::default().with_seed(11).with_engine(EngineKind::BitParallel);
+    let adaptive_cfg = ClusterConfig::default().with_seed(11).with_engine(EngineKind::Adaptive);
 
     let t = Instant::now();
     let scalar_run = acp_depth(&g, k, d, &scalar_cfg).expect("acp_depth (scalar)");
     let scalar_time = t.elapsed();
     let t = Instant::now();
-    let bit_run = acp_depth(&g, k, d, &bit_cfg).expect("acp_depth (bit-parallel)");
-    let bit_time = t.elapsed();
+    let adaptive_run = acp_depth(&g, k, d, &adaptive_cfg).expect("acp_depth (adaptive)");
+    let adaptive_time = t.elapsed();
 
-    assert_eq!(scalar_run.clustering, bit_run.clustering, "backends must agree exactly");
-    assert_eq!(scalar_run.avg_prob_estimate, bit_run.avg_prob_estimate);
+    assert_eq!(scalar_run.clustering, adaptive_run.clustering, "backends must agree exactly");
+    assert_eq!(scalar_run.avg_prob_estimate, adaptive_run.avg_prob_estimate);
     println!("acp_depth k = {k}, d = {d}: identical clusterings from both backends");
+    println!("  scalar   {scalar_time:>10.2?}   (avg-prob {:.3})", scalar_run.avg_prob_estimate);
     println!(
-        "  scalar       {scalar_time:>10.2?}   (avg-prob {:.3})",
-        scalar_run.avg_prob_estimate
+        "  adaptive {adaptive_time:>10.2?}   (avg-prob {:.3})",
+        adaptive_run.avg_prob_estimate
     );
-    println!("  bit-parallel {bit_time:>10.2?}   (avg-prob {:.3})", bit_run.avg_prob_estimate);
 
     // ── 2. Where bit-packing pays: depth-limited traversal ─────────────
     // The scalar backend runs one bounded BFS per sampled world; the
-    // bit-parallel backend propagates 64-world reach masks, answering a
-    // whole block per traversal.
-    let samples = 128;
+    // adaptive backend propagates 256-world reach masks, answering a
+    // whole block per traversal. Depth queries never finalize labels.
+    let samples = 512;
     let depth = 4;
     let n = g.num_nodes();
     let centers: Vec<NodeId> = (0..16u32).map(|i| NodeId(i * (n as u32 / 16))).collect();
@@ -70,40 +69,36 @@ fn main() {
     let scalar_cov = cov.clone();
 
     let t = Instant::now();
-    let mut bit_pool = BitParallelPool::<1>::new(&g, 3, 1);
-    bit_pool.ensure(samples);
+    let mut pool = BitParallelPool::<4>::new_adaptive(&g, 3, 1);
+    pool.ensure(samples);
     for &c in &centers {
-        bit_pool.counts_within_depths(c, depth, depth, &mut sel, &mut cov);
+        pool.counts_within_depths(c, depth, depth, &mut sel, &mut cov);
     }
-    let bit_depth = t.elapsed();
+    let adaptive_depth = t.elapsed();
 
     assert_eq!(scalar_cov, cov, "depth counts must be identical");
     println!("\ndepth-{depth} counts, {samples} worlds, {} centers:", centers.len());
-    println!("  scalar       {scalar_depth:>10.2?}");
-    println!("  bit-parallel {bit_depth:>10.2?}");
+    println!("  scalar   {scalar_depth:>10.2?}");
+    println!("  adaptive {adaptive_depth:>10.2?}");
     println!(
-        "  speedup      {:>9.1}x (single-core: pure bit-packing, no threads)",
-        scalar_depth.as_secs_f64() / bit_depth.as_secs_f64().max(1e-12)
+        "  speedup  {:>9.1}x (single-core: pure bit-packing, no threads)",
+        scalar_depth.as_secs_f64() / adaptive_depth.as_secs_f64().max(1e-12)
     );
 
-    // ── 3. The adaptive backend: labels on demand ──────────────────────
-    // Unlimited-depth rows were the one workload where the pure-mask
-    // backend lost to scalar labels. The adaptive pool finalizes
-    // per-block component labels on the first row query and serves every
-    // later unlimited query at scalar-label speed, while keeping the
-    // bit-parallel generation and depth wins above.
+    // ── 3. Labels on demand: unlimited-depth rows ──────────────────────
+    // The first unlimited row query finalizes per-block component labels;
+    // every later row counts the center's giant lanes with one popcount
+    // pass and traverses only its small components.
     let mut counts = vec![0u32; n];
     let t = Instant::now();
-    let mut adaptive_pool = BitParallelPool::<1>::new_adaptive(&g, 3, 1);
-    adaptive_pool.ensure(samples);
-    adaptive_pool.counts_from_center(centers[0], &mut counts); // finalizes
+    pool.counts_from_center(centers[0], &mut counts); // finalizes
     let warm = Instant::now();
     for &c in &centers {
-        adaptive_pool.counts_from_center(c, &mut counts);
+        pool.counts_from_center(c, &mut counts);
     }
     let adaptive_warm = warm.elapsed();
     let adaptive_total = t.elapsed();
-    let stats = adaptive_pool.engine_stats();
+    let stats = pool.engine_stats();
     println!(
         "\nadaptive unlimited rows, {samples} worlds, {} centers (after one-time \
          finalization of {} blocks / {} lanes):",
@@ -112,8 +107,7 @@ fn main() {
         stats.finalized_lanes
     );
     println!(
-        "  warm queries {adaptive_warm:>10.2?}   (generation + finalize + all queries \
-         {adaptive_total:>.2?})"
+        "  warm queries {adaptive_warm:>10.2?}   (finalize + all queries {adaptive_total:>.2?})"
     );
     println!(
         "  {} block-queries served from labels, {} from masks",

@@ -7,14 +7,13 @@
 //! ugraph stats    --input graph.txt
 //! ugraph cluster  --input graph.txt --algo <mcp|acp|gmm|mcl|kpt> [--k N]
 //!                 [--depth D] [--inflation I] [--seed N] [--output out.tsv]
-//!                 [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+//!                 [--engine <scalar|adaptive>]
 //!                 [--memory-budget B] [--timeout T] [--best-effort]
 //! ugraph sweep    --input graph.txt --algo <mcp|acp> --k-min A --k-max B
-//!                 [--depth D] [--seed N] [--samples N]
-//!                 [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+//!                 [--depth D] [--seed N] [--samples N] [--engine <scalar|adaptive>]
 //!                 [--memory-budget B] [--timeout T] [--best-effort]
 //! ugraph evaluate --input graph.txt --clustering out.tsv [--samples N]
-//!                 [--ground-truth gt.txt] [--seed N] [--block-width 64|256|512]
+//!                 [--ground-truth gt.txt] [--seed N]
 //!                 [--memory-budget B] [--timeout T]
 //! ugraph knn      --input graph.txt --source U [--k N] [--depth D] [--samples N]
 //! ugraph serve    [--listen HOST:PORT] --dataset <names>|--input graph.txt
@@ -23,8 +22,7 @@
 //!                 [--request-timeout T] [--idle-evict T] [--io-timeout T]
 //! ugraph client   <cluster|stats> [--connect HOST:PORT] [--graph NAME]
 //!                 [--algo mcp|acp] [--k N] [--depth D] [--timeout T]
-//!                 [--retries N] [--connect-pool N]
-//!                 [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+//!                 [--retries N] [--connect-pool N] [--engine <scalar|adaptive>]
 //!                 [--output out.tsv]
 //! ```
 //!
@@ -120,14 +118,13 @@ commands:
   stats     --input graph.txt
   cluster   --input graph.txt --algo <mcp|acp|gmm|mcl|kpt> [--k N]
             [--depth D] [--inflation I] [--seed N] [--output out.tsv]
-            [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+            [--engine <scalar|adaptive>]
             [--memory-budget B] [--timeout T] [--best-effort]
   sweep     --input graph.txt --algo <mcp|acp> --k-min A --k-max B
-            [--depth D] [--seed N] [--samples N]
-            [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+            [--depth D] [--seed N] [--samples N] [--engine <scalar|adaptive>]
             [--memory-budget B] [--timeout T] [--best-effort]
   evaluate  --input graph.txt --clustering out.tsv [--samples N]
-            [--ground-truth gt.txt] [--seed N] [--block-width 64|256|512]
+            [--ground-truth gt.txt] [--seed N]
             [--memory-budget B] [--timeout T]
   knn       --input graph.txt --source U [--k N] [--depth D] [--samples N]
   serve     [--listen HOST:PORT] --dataset <names>|--input graph.txt
@@ -136,20 +133,15 @@ commands:
             [--request-timeout T] [--idle-evict T] [--io-timeout T]
   client    <cluster|stats> [--connect HOST:PORT] [--graph NAME]
             [--algo mcp|acp] [--k N] [--depth D] [--timeout T]
-            [--retries N] [--connect-pool N]
-            [--engine <scalar|bitparallel|adaptive>] [--block-width 64|256|512]
+            [--retries N] [--connect-pool N] [--engine <scalar|adaptive>]
             [--output out.tsv]
 
 `--engine` picks the Monte-Carlo backend of the solver paths (default:
-adaptive — bit-parallel blocks with lazy component-label finalization);
-every backend returns identical results for a fixed seed. It is accepted
-everywhere but only affects `cluster` and `sweep` — `evaluate` always
-measures on the scalar evaluation pool.
-
-`--block-width` sets how many sampled worlds one bit-parallel mask block
-packs (default 256). Results are bit-identical at every width; wider
-blocks answer more worlds per traversal at proportionally larger
-per-block mask memory. Ignored by the scalar backend.
+adaptive — 256-world mask blocks with lazy component-label finalization;
+scalar is the one-world-at-a-time reference). Both return identical
+results for a fixed seed. It is accepted everywhere but only affects
+`cluster` and `sweep` — `evaluate` always measures on the scalar
+evaluation pool.
 
 `--memory-budget` caps the bytes held by the session's sampled worlds and
 cached rows (e.g. 512M, 2G; binary suffixes K/M/G). Under pressure,
@@ -206,7 +198,6 @@ struct Options {
     samples: usize,
     source: Option<u32>,
     engine: EngineKind,
-    block_width: BlockWidth,
     memory_budget: Option<usize>,
     nodes: Option<usize>,
     timeout: Option<std::time::Duration>,
@@ -248,15 +239,8 @@ impl Options {
                 "--source" => o.source = Some(parse_num(&take()?, flag)?),
                 "--engine" => {
                     let v = take()?;
-                    o.engine = EngineKind::from_name(&v).ok_or(format!(
-                        "flag --engine: expected scalar, bitparallel, or adaptive, got '{v}'"
-                    ))?;
-                }
-                "--block-width" => {
-                    let v = take()?;
-                    o.block_width = BlockWidth::from_name(&v).ok_or(format!(
-                        "flag --block-width: expected 64, 256, or 512, got '{v}'"
-                    ))?;
+                    o.engine = EngineKind::from_name(&v)
+                        .ok_or(format!("flag --engine: expected scalar or adaptive, got '{v}'"))?;
                 }
                 "--memory-budget" => o.memory_budget = Some(parse_bytes(&take()?, flag)?),
                 "--nodes" => o.nodes = Some(parse_num(&take()?, flag)?),
@@ -367,10 +351,7 @@ fn build_request(algo: &str, k: usize, depth: Option<u32>) -> Result<ClusterRequ
 /// The CLI's solver/evaluation configuration: seed + engine, plus the
 /// optional memory budget (shared by every pool of the session).
 fn session_config(o: &Options) -> ClusterConfig {
-    let mut cfg = ClusterConfig::default()
-        .with_seed(o.seed)
-        .with_engine(o.engine)
-        .with_block_width(o.block_width);
+    let mut cfg = ClusterConfig::default().with_seed(o.seed).with_engine(o.engine);
     if let Some(bytes) = o.memory_budget {
         cfg = cfg.with_memory_budget(bytes);
     }
@@ -461,10 +442,9 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
     let mut session =
         UgraphSession::new(&g, cfg).map_err(|e| e.to_string())?.with_eval_samples(o.samples);
     println!(
-        "{:<4} {:>5} {:>10} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>6} {:>10} {:>6} \
-         {:>6} {:>10}",
+        "{:<4} {:>10} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>6} {:>10} {:>6} {:>6} \
+         {:>10}",
         "k",
-        "width",
         "objective",
         "guesses",
         "samples",
@@ -495,10 +475,9 @@ fn cmd_sweep(o: &Options) -> Result<(), String> {
                 let stats = session.stats();
                 let m = stats.per_request.last().expect("solve just pushed a record").memory;
                 println!(
-                    "{:<4} {:>5} {:>10.4} {:>8} {:>8} {:>8.4} {:>8.4} {:>6} {:>8} {:>7} {:>6} \
-                     {:>6} {:>10} {:>6} {:>6} {:>10.2?}",
+                    "{:<4} {:>10.4} {:>8} {:>8} {:>8.4} {:>8.4} {:>6} {:>8} {:>7} {:>6} {:>6} \
+                     {:>10} {:>6} {:>6} {:>10.2?}",
                     k,
-                    o.block_width.name(),
                     r.objective_estimate,
                     r.guesses,
                     r.samples_used,
@@ -731,7 +710,7 @@ fn client_cluster(pool: &mut ClientPool, o: &Options) -> Result<(), String> {
     let call = ClusterCall {
         graph: graph.clone(),
         engine: o.engine,
-        width: o.block_width,
+        width: BlockWidth::default(),
         objective,
         k: u32::try_from(k).map_err(|_| format!("--k {k} is out of range"))?,
         depth: o.depth.map_or(WireDepth::Unlimited, WireDepth::Uniform),

@@ -136,7 +136,7 @@ fn missing_required_flag_fails() {
 fn engine_flag_selects_count_identical_backends() {
     let graph = small_graph_file();
     let mut outputs = Vec::new();
-    for engine in ["scalar", "bitparallel", "adaptive"] {
+    for engine in ["scalar", "adaptive"] {
         let path = tmp(&format!("clustering-{engine}.tsv"));
         let out = bin()
             .args(["cluster", "--algo", "mcp", "--k", "2", "--seed", "5", "--engine", engine])
@@ -149,15 +149,23 @@ fn engine_flag_selects_count_identical_backends() {
         assert!(out.status.success(), "{engine}: {}", String::from_utf8_lossy(&out.stderr));
         outputs.push(std::fs::read_to_string(&path).unwrap());
     }
-    assert_eq!(outputs[0], outputs[1], "scalar vs bitparallel clusterings differ");
-    assert_eq!(outputs[0], outputs[2], "scalar vs adaptive clusterings differ");
+    assert_eq!(outputs[0], outputs[1], "scalar vs adaptive clusterings differ");
 
-    let out = bin()
-        .args(["cluster", "--algo", "mcp", "--k", "2", "--engine", "gpu", "--input"])
-        .arg(&graph)
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "bogus engine name must be rejected");
+    // Bogus and retired engine names, and the retired width flag.
+    for (flag, value, named) in [
+        ("--engine", "gpu", "--engine"),
+        ("--engine", "bitparallel", "--engine"),
+        ("--block-width", "64", "--block-width"),
+    ] {
+        let out = bin()
+            .args(["cluster", "--algo", "mcp", "--k", "2", flag, value, "--input"])
+            .arg(&graph)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag} {value} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{flag} {value}: {stderr}");
+    }
 }
 
 #[test]
