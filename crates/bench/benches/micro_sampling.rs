@@ -6,7 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::{Bitset, NodeId, UnionFind};
-use ugraph_sampling::{ComponentPool, McOracle, Oracle, SampleSchedule, WorldPool, WorldSampler};
+use ugraph_sampling::{
+    ComponentPool, McOracle, Oracle, SampleSchedule, WorldEngine, WorldPool, WorldSampler,
+};
 
 fn sampling(c: &mut Criterion) {
     let d = DatasetSpec::Krogan.generate(1);

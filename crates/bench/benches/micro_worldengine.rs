@@ -22,7 +22,10 @@ use ugraph_cluster::{
 };
 use ugraph_datasets::DatasetSpec;
 use ugraph_graph::NodeId;
-use ugraph_sampling::{BitParallelPool, ComponentPool, EngineKind, McOracle, Oracle, WorldPool};
+use ugraph_sampling::{
+    BitParallelPool, ComponentPool, EngineKind, EngineStats, McOracle, Oracle, WorldEngine,
+    WorldPool,
+};
 
 /// The adaptive pool at its production width (256 worlds per block).
 type AdaptivePool<'g> = BitParallelPool<'g, 4>;
@@ -114,6 +117,9 @@ impl Oracle for PerRowOracle<'_> {
     fn pair_prob(&mut self, u: NodeId, v: NodeId) -> Result<f64, ugraph_sampling::SamplingError> {
         self.0.pair_prob(u, v)
     }
+    fn engine_stats(&self) -> EngineStats {
+        self.0.engine_stats()
+    }
     // identical_rows() stays false and center_probs_batch stays the default
     // per-center loop: both rows are materialized per candidate, as the
     // pre-batching code path did.
@@ -126,6 +132,10 @@ struct Replay {
     per_row_ns: u128,
     /// Batched rows + incremental row cache (the current default).
     cached_ns: u128,
+    /// Finalization counters of each variant's run (deterministic, so
+    /// the same in every repetition).
+    per_row_engine: EngineStats,
+    cached_engine: EngineStats,
 }
 
 impl Replay {
@@ -450,13 +460,23 @@ fn write_adaptive_json(
         if i > 0 {
             replays.push_str(",\n");
         }
+        let (p, c) = (&r.per_row_engine, &r.cached_engine);
         replays.push_str(&format!(
             "    {{\"engine\": \"{}\", \"per_row_ns\": {}, \"cached_ns\": {}, \
-             \"speedup\": {:.3}}}",
+             \"speedup\": {:.3}, \"per_row_finalized_lanes\": {}, \
+             \"per_row_label_queries\": {}, \"per_row_mask_queries\": {}, \
+             \"cached_finalized_lanes\": {}, \"cached_label_queries\": {}, \
+             \"cached_mask_queries\": {}}}",
             r.engine,
             r.per_row_ns,
             r.cached_ns,
-            r.speedup()
+            r.speedup(),
+            p.finalized_lanes,
+            p.label_queries,
+            p.mask_queries,
+            c.finalized_lanes,
+            c.label_queries,
+            c.mask_queries
         ));
     }
     let json = format!(
@@ -508,6 +528,7 @@ fn measure_replay(graph: &ugraph_graph::UncertainGraph, smoke: bool) -> Vec<Repl
     for kind in [EngineKind::Scalar, EngineKind::Adaptive] {
         let mut cached_ns = u128::MAX;
         let mut per_row_ns = u128::MAX;
+        let (mut per_row_engine, mut cached_engine) = Default::default();
         for _ in 0..reps {
             let (cached, t_cached) = run_cached(kind);
             let (plain, t_plain) = run_per_row(kind);
@@ -527,6 +548,7 @@ fn measure_replay(graph: &ugraph_graph::UncertainGraph, smoke: bool) -> Vec<Repl
             );
             assert_eq!(cached.guesses, plain.guesses);
             assert!(cached.row_cache.hits > 0, "{} replay exercised no cache hits", kind.name());
+            (per_row_engine, cached_engine) = (plain.engine, cached.engine);
             // Cross-engine gate: every backend replays the identical
             // schedule (count-identity through the whole driver).
             match &reference {
@@ -539,7 +561,13 @@ fn measure_replay(graph: &ugraph_graph::UncertainGraph, smoke: bool) -> Vec<Repl
             cached_ns = cached_ns.min(t_cached);
             per_row_ns = per_row_ns.min(t_plain);
         }
-        out.push(Replay { engine: kind.name(), per_row_ns, cached_ns });
+        out.push(Replay {
+            engine: kind.name(),
+            per_row_ns,
+            cached_ns,
+            per_row_engine,
+            cached_engine,
+        });
     }
     out
 }
@@ -803,12 +831,20 @@ fn worldengine(c: &mut Criterion) {
     }
     let replay = measure_replay(&graph, smoke());
     for r in &replay {
+        let (p, c) = (&r.per_row_engine, &r.cached_engine);
         println!(
-            "  replay/{:<21} per-row {:>11} ns   batched+cache {:>10} ns   speedup {:>6.2}x",
+            "  replay/{:<21} per-row {:>11} ns   batched+cache {:>10} ns   speedup {:>6.2}x   \
+             (lanes/label/mask: per-row {}/{}/{}, batched+cache {}/{}/{})",
             r.engine,
             r.per_row_ns,
             r.cached_ns,
-            r.speedup()
+            r.speedup(),
+            p.finalized_lanes,
+            p.label_queries,
+            p.mask_queries,
+            c.finalized_lanes,
+            c.label_queries,
+            c.mask_queries
         );
     }
     write_oracle_json(&graph, &d.name, &batch, &replay, smoke());

@@ -59,8 +59,8 @@ use std::time::{Duration, Instant};
 use ugraph_graph::{NodeId, UncertainGraph};
 use ugraph_sampling::rng::mix_seed;
 use ugraph_sampling::{
-    assignment_probs, quality_from_probs, ComponentPool, DepthMcOracle, EngineStats, McOracle,
-    MemoryBudget, MemoryStats, Oracle, RowCacheStats, RunState, WorldPool,
+    assignment_probs, quality_from_probs, ComponentPool, EngineStats, McOracle, MemoryBudget,
+    MemoryStats, Oracle, RowCacheStats, RunState, WorldEngine, WorldPool, DEPTH_UNLIMITED,
 };
 
 use crate::acp::acp_with_oracle;
@@ -90,8 +90,8 @@ pub const DEFAULT_EVAL_SAMPLES: usize = 512;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct OracleKey {
     objective: Objective,
-    /// `None` = unlimited path length (a [`McOracle`]); `Some` = the
-    /// resolved `(d_select, d_cover)` pair (a [`DepthMcOracle`]).
+    /// `None` = unlimited path length; `Some` = the resolved
+    /// `(d_select, d_cover)` pair (see [`McOracle::with_depths`]).
     depths: Option<(u32, u32)>,
 }
 
@@ -245,7 +245,7 @@ pub struct UgraphSession<'g> {
     config: ClusterConfig,
     /// One oracle (engine + grow-only pool + row cache) per request shape
     /// seen so far; linear scan — a session holds a handful at most.
-    oracles: Vec<(OracleKey, Box<dyn Oracle + 'g>)>,
+    oracles: Vec<(OracleKey, McOracle<'g>)>,
     /// Lazily-built evaluation pool shared by [`UgraphSession::evaluate`]
     /// and the metrics layer ([`UgraphSession::eval_pool`]).
     eval: Option<ComponentPool<'g>>,
@@ -389,7 +389,7 @@ impl<'g> UgraphSession<'g> {
         oracle.set_run_state(run);
         let result = match request.objective() {
             Objective::MinProb => {
-                let r = mcp_with_oracle(oracle.as_mut(), request.k(), &config)?;
+                let r = mcp_with_oracle(oracle, request.k(), &config)?;
                 SolveResult {
                     request,
                     clustering: r.clustering,
@@ -405,7 +405,7 @@ impl<'g> UgraphSession<'g> {
                 }
             }
             Objective::AvgProb => {
-                let r = acp_with_oracle(oracle.as_mut(), request.k(), &config)?;
+                let r = acp_with_oracle(oracle, request.k(), &config)?;
                 SolveResult {
                     request,
                     clustering: r.clustering,
@@ -568,34 +568,19 @@ impl<'g> UgraphSession<'g> {
             (Objective::AvgProb, false) => TAG_ACP,
             (Objective::AvgProb, true) => TAG_ACP_DEPTH,
         };
-        let oracle: Box<dyn Oracle + 'g> = match key.depths {
-            None => Box::new(
-                McOracle::with_engine(
-                    self.graph,
-                    mix_seed(cfg.seed, tag),
-                    cfg.threads,
-                    cfg.schedule,
-                    cfg.epsilon,
-                    cfg.engine,
-                )
-                .with_row_cache(cfg.row_cache)
-                .with_memory_budget(self.budget.clone()),
-            ),
-            Some((d_select, d_cover)) => Box::new(
-                DepthMcOracle::with_engine(
-                    self.graph,
-                    mix_seed(cfg.seed, tag),
-                    cfg.threads,
-                    cfg.schedule,
-                    cfg.epsilon,
-                    d_select,
-                    d_cover,
-                    cfg.engine,
-                )?
-                .with_row_cache(cfg.row_cache)
-                .with_memory_budget(self.budget.clone()),
-            ),
-        };
+        let (d_select, d_cover) = key.depths.unwrap_or((DEPTH_UNLIMITED, DEPTH_UNLIMITED));
+        let oracle = McOracle::with_depths(
+            self.graph,
+            mix_seed(cfg.seed, tag),
+            cfg.threads,
+            cfg.schedule,
+            cfg.epsilon,
+            d_select,
+            d_cover,
+            cfg.engine,
+        )?
+        .with_row_cache(cfg.row_cache)
+        .with_memory_budget(self.budget.clone());
         self.oracles.push((key, oracle));
         Ok(self.oracles.len() - 1)
     }

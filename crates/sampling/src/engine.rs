@@ -154,14 +154,20 @@ impl EngineStats {
 /// which makes the pool contents independent of the growth schedule, the
 /// thread count, and the backend.
 ///
-/// Queries come in three shapes per family: a single center row, a
-/// **batched** multi-center form (`counts_from_centers`,
-/// `counts_within_depths_batch`) answering many rows in one pool sweep,
-/// and a **ranged** form (`counts_from_center_range`,
-/// `counts_within_depths_range`) restricted to a sample-index window —
-/// counts over disjoint windows add up exactly, which is what the oracle
-/// layer's incremental row cache builds on. All three shapes return
-/// identical integer counts for the same pool.
+/// **Ranged forms required, full-pool forms provided.** A backend
+/// implements each query family once, restricted to a sample-index window
+/// `[lo, hi)`: a single center row ([`WorldEngine::counts_from_center_range`],
+/// [`WorldEngine::counts_within_depths_range`]), a **batched** multi-center
+/// form answering many rows in one window sweep
+/// ([`WorldEngine::counts_from_centers_range`],
+/// [`WorldEngine::counts_within_depths_batch_range`]), and a pair count
+/// ([`WorldEngine::pair_count_range`],
+/// [`WorldEngine::pair_count_within_range`]). Counts over disjoint windows
+/// add up exactly, which is what the oracle layer's incremental row cache
+/// builds on, and batched rows equal the per-center rows. The full-pool
+/// forms (`counts_from_center`, `counts_within_depths`, `pair_count`,
+/// `pair_estimate`, ...) are provided, each as its ranged form over
+/// `[0, num_samples())`.
 ///
 /// Depth parameters use [`DEPTH_UNLIMITED`] for plain connectivity.
 /// Backends that precompute per-world connectivity and cannot answer
@@ -176,8 +182,8 @@ pub trait WorldEngine {
     ///
     /// Defaults to `true`; backends that precompute per-world connectivity
     /// and lose distance information (the scalar [`crate::ComponentPool`])
-    /// return `false`, and the depth-limited oracle rejects them at
-    /// construction instead of panicking at first query.
+    /// return `false`, and the Monte-Carlo oracle rejects them for finite
+    /// depths at construction instead of panicking at first query.
     fn supports_finite_depths(&self) -> bool {
         true
     }
@@ -225,36 +231,9 @@ pub trait WorldEngine {
     /// Grows the pool to at least `r` samples (no-op if already there).
     fn ensure(&mut self, r: usize);
 
-    /// For every node `u`, writes the number of samples in which `u` is
-    /// connected to `center` (unlimited path length) into `out[u]`.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != graph().num_nodes()`.
-    fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]);
-
-    /// Batched [`WorldEngine::counts_from_center`]: one count row per
-    /// requested center, written row-major into `out`
-    /// (`out[j * n + u]` = count for `centers[j]` and node `u`).
-    ///
-    /// Counts are **identical** to `centers.len()` sequential
-    /// `counts_from_center` calls — batching only changes how the pool is
-    /// swept, never what is counted. Backends override the default
-    /// per-center loop with genuinely amortized sweeps (one pass over the
-    /// pool updating all rows; multi-source mask BFS on the bit-parallel
-    /// backend). Duplicate centers are allowed.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != centers.len() * graph().num_nodes()`.
-    fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), centers.len() * n, "batch counts buffer has wrong length");
-        for (j, &c) in centers.iter().enumerate() {
-            self.counts_from_center(c, &mut out[j * n..(j + 1) * n]);
-        }
-    }
-
-    /// Restriction of [`WorldEngine::counts_from_center`] to the samples
-    /// with index in `[lo, hi)`: `out[u]` counts only those worlds.
+    /// For every node `u`, writes the number of samples with index in
+    /// `[lo, hi)` in which `u` is connected to `center` (unlimited path
+    /// length) into `out[u]`.
     ///
     /// Because pools grow monotonically and sample `i` is fixed by its RNG
     /// stream, counts over disjoint index ranges **add up exactly**:
@@ -269,19 +248,17 @@ pub trait WorldEngine {
 
     /// Batched [`WorldEngine::counts_from_center_range`]: one count row per
     /// requested center over the sample window `[lo, hi)`, written
-    /// row-major into `out` (`out[j * n + u]`).
+    /// row-major into `out` (`out[j * n + u]` = count for `centers[j]` and
+    /// node `u`).
     ///
-    /// This is the query shape of a row-cache **top-up wave**: after
-    /// `prepare(q)` growth, many cached candidate rows need the same new
-    /// window counted, and issuing them one center at a time re-pays the
-    /// per-window traversal setup per row (on the bit-parallel backend,
-    /// the losing single-row mask-BFS shape). Backends override the
-    /// default per-center loop with the same amortized sweeps as
-    /// [`WorldEngine::counts_from_centers`] (one pass over the window
-    /// updating all rows; component sharing / multi-source mask BFS),
-    /// restricted to the window's worlds. Counts are identical to
-    /// sequential `counts_from_center_range` calls and add up exactly
-    /// over disjoint windows.
+    /// Counts are **identical** to `centers.len()` sequential
+    /// `counts_from_center_range` calls — batching only changes how the
+    /// window is swept, never what is counted. This is the query shape of
+    /// the oracle's batched row fetches and of its row-cache **top-up
+    /// waves**, where many cached candidate rows need the same new window
+    /// counted; backends amortize it (one pass over the window updating
+    /// all rows; component sharing / multi-source mask BFS on the adaptive
+    /// backend). Duplicate centers are allowed.
     ///
     /// # Panics
     /// Panics if `out.len() != centers.len() * graph().num_nodes()`,
@@ -292,84 +269,22 @@ pub trait WorldEngine {
         lo: usize,
         hi: usize,
         out: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), centers.len() * n, "batch counts buffer has wrong length");
-        for (j, &c) in centers.iter().enumerate() {
-            self.counts_from_center_range(c, lo, hi, &mut out[j * n..(j + 1) * n]);
-        }
-    }
+    );
 
-    /// Number of samples in which `u` and `v` are connected (unlimited
-    /// path length).
-    fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize;
-
-    /// Restriction of [`WorldEngine::pair_count`] to the samples with
-    /// index in `[lo, hi)` — the pairwise analogue of
+    /// Number of samples with index in `[lo, hi)` in which `u` and `v` are
+    /// connected (unlimited path length) — the pairwise analogue of
     /// [`WorldEngine::counts_from_center_range`], with the same exact
-    /// additivity over disjoint windows. The default computes a ranged
-    /// count row and reads one entry (correct but O(n) in memory
-    /// traffic); backends override it with a direct window scan.
+    /// additivity over disjoint windows.
     ///
     /// # Panics
     /// Panics if `lo > hi` or `hi > num_samples()`.
-    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
-        let mut counts = vec![0u32; self.graph().num_nodes()];
-        self.counts_from_center_range(u, lo, hi, &mut counts);
-        counts[v.index()] as usize
-    }
+    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize;
 
-    /// Depth-limited connection counts from `center`: after the call
-    /// `out_select[u]` counts samples with `dist(center, u) ≤ d_select`
-    /// and `out_cover[u]` those with `dist(center, u) ≤ d_cover`.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch, on `d_select > d_cover`, or if the
-    /// backend cannot answer finite depths (see the trait docs).
-    fn counts_within_depths(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    );
-
-    /// Batched [`WorldEngine::counts_within_depths`]: one select row and
-    /// one cover row per requested center, written row-major
-    /// (`out_select[j * n + u]`, `out_cover[j * n + u]`). Counts are
-    /// identical to sequential per-center calls (see
-    /// [`WorldEngine::counts_from_centers`]).
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch, `d_select > d_cover`, or a backend
-    /// that cannot answer finite depths.
-    fn counts_within_depths_batch(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out_select.len(), centers.len() * n, "batch select buffer has wrong length");
-        assert_eq!(out_cover.len(), centers.len() * n, "batch cover buffer has wrong length");
-        for (j, &c) in centers.iter().enumerate() {
-            self.counts_within_depths(
-                c,
-                d_select,
-                d_cover,
-                &mut out_select[j * n..(j + 1) * n],
-                &mut out_cover[j * n..(j + 1) * n],
-            );
-        }
-    }
-
-    /// Restriction of [`WorldEngine::counts_within_depths`] to the samples
-    /// with index in `[lo, hi)` — the depth-limited analogue of
-    /// [`WorldEngine::counts_from_center_range`], with the same exact
-    /// additivity over disjoint ranges.
+    /// Depth-limited connection counts from `center` over the samples with
+    /// index in `[lo, hi)`: after the call `out_select[u]` counts samples
+    /// with `dist(center, u) ≤ d_select` and `out_cover[u]` those with
+    /// `dist(center, u) ≤ d_cover` — with the same exact additivity over
+    /// disjoint windows as [`WorldEngine::counts_from_center_range`].
     ///
     /// # Panics
     /// Panics on buffer-size mismatch, `lo > hi`, `hi > num_samples()`,
@@ -388,9 +303,10 @@ pub trait WorldEngine {
 
     /// Batched [`WorldEngine::counts_within_depths_range`]: one select row
     /// and one cover row per requested center over the sample window
-    /// `[lo, hi)`, written row-major — the depth-limited analogue of
-    /// [`WorldEngine::counts_from_centers_range`], serving the depth
-    /// oracle's top-up waves with shared window sweeps.
+    /// `[lo, hi)`, written row-major (`out_select[j * n + u]`,
+    /// `out_cover[j * n + u]`) — the depth-limited analogue of
+    /// [`WorldEngine::counts_from_centers_range`], with counts identical to
+    /// sequential per-center calls.
     ///
     /// # Panics
     /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`,
@@ -406,31 +322,10 @@ pub trait WorldEngine {
         hi: usize,
         out_select: &mut [u32],
         out_cover: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out_select.len(), centers.len() * n, "batch select buffer has wrong length");
-        assert_eq!(out_cover.len(), centers.len() * n, "batch cover buffer has wrong length");
-        for (j, &c) in centers.iter().enumerate() {
-            self.counts_within_depths_range(
-                c,
-                d_select,
-                d_cover,
-                lo,
-                hi,
-                &mut out_select[j * n..(j + 1) * n],
-                &mut out_cover[j * n..(j + 1) * n],
-            );
-        }
-    }
+    );
 
-    /// Number of samples in which `dist(u, v) ≤ depth`.
-    ///
-    /// # Panics
-    /// Panics if the backend cannot answer finite depths.
-    fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize;
-
-    /// Restriction of [`WorldEngine::pair_count_within`] to the samples
-    /// with index in `[lo, hi)` (see [`WorldEngine::pair_count_range`]).
+    /// Number of samples with index in `[lo, hi)` in which
+    /// `dist(u, v) ≤ depth` (see [`WorldEngine::pair_count_range`]).
     ///
     /// # Panics
     /// Panics if `lo > hi`, `hi > num_samples()`, or the backend cannot
@@ -442,12 +337,76 @@ pub trait WorldEngine {
         depth: u32,
         lo: usize,
         hi: usize,
-    ) -> usize {
-        let n = self.graph().num_nodes();
-        let mut select = vec![0u32; n];
-        let mut cover = vec![0u32; n];
-        self.counts_within_depths_range(u, depth, depth, lo, hi, &mut select, &mut cover);
-        cover[v.index()] as usize
+    ) -> usize;
+
+    /// [`WorldEngine::counts_from_center_range`] over the whole pool.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != graph().num_nodes()`.
+    fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
+        let r = self.num_samples();
+        self.counts_from_center_range(center, 0, r, out);
+    }
+
+    /// [`WorldEngine::counts_from_centers_range`] over the whole pool.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != centers.len() * graph().num_nodes()`.
+    fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
+        let r = self.num_samples();
+        self.counts_from_centers_range(centers, 0, r, out);
+    }
+
+    /// [`WorldEngine::pair_count_range`] over the whole pool.
+    fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
+        let r = self.num_samples();
+        self.pair_count_range(u, v, 0, r)
+    }
+
+    /// [`WorldEngine::counts_within_depths_range`] over the whole pool.
+    ///
+    /// # Panics
+    /// Panics on buffer-size mismatch, on `d_select > d_cover`, or if the
+    /// backend cannot answer finite depths.
+    fn counts_within_depths(
+        &mut self,
+        center: NodeId,
+        d_select: u32,
+        d_cover: u32,
+        out_select: &mut [u32],
+        out_cover: &mut [u32],
+    ) {
+        let r = self.num_samples();
+        self.counts_within_depths_range(center, d_select, d_cover, 0, r, out_select, out_cover);
+    }
+
+    /// [`WorldEngine::counts_within_depths_batch_range`] over the whole
+    /// pool.
+    ///
+    /// # Panics
+    /// Panics on buffer-size mismatch, `d_select > d_cover`, or a backend
+    /// that cannot answer finite depths.
+    fn counts_within_depths_batch(
+        &mut self,
+        centers: &[NodeId],
+        d_select: u32,
+        d_cover: u32,
+        out_select: &mut [u32],
+        out_cover: &mut [u32],
+    ) {
+        let r = self.num_samples();
+        self.counts_within_depths_batch_range(
+            centers, d_select, d_cover, 0, r, out_select, out_cover,
+        );
+    }
+
+    /// [`WorldEngine::pair_count_within_range`] over the whole pool.
+    ///
+    /// # Panics
+    /// Panics if the backend cannot answer finite depths.
+    fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
+        let r = self.num_samples();
+        self.pair_count_within_range(u, v, depth, 0, r)
     }
 
     /// The estimator `p̃(u, v)` of Eq. 3. Returns 0 for an empty pool.

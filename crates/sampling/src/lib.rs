@@ -13,7 +13,9 @@
 //! * deterministic, thread-count-independent [`WorldSampler`]s — sample `i`
 //!   is always generated from the same per-index RNG stream;
 //! * the [`WorldEngine`] backend seam with interchangeable, count-identical
-//!   implementations selected by [`EngineKind`]:
+//!   implementations selected by [`EngineKind`] — each backend implements
+//!   the ranged (sample-window) query forms, and the full-pool forms are
+//!   provided on top of them:
 //!   [`ComponentPool`] (scalar; per-sample connected-component labels with
 //!   membership lists, supporting `counts_from_center` in time proportional
 //!   to the size of the center's components, not `n·r`),
@@ -30,8 +32,10 @@
 //! * sample-size [`bounds`]: the `(ε, δ)` bound of Eq. 4 and the progressive
 //!   schedules of Eq. 9 / Eq. 10, plus the paper's *practical* 50-sample
 //!   starting schedule (§5);
-//! * the [`Oracle`] trait consumed by the clustering algorithms, with
-//!   Monte-Carlo implementations built on the engine seam;
+//! * the [`Oracle`] trait consumed by the clustering algorithms, with one
+//!   Monte-Carlo implementation built on the engine seam, [`McOracle`],
+//!   carrying selection and cover depths `(d', d)` — plain connectivity
+//!   is the case `d' = d = ∞` ([`DEPTH_UNLIMITED`]);
 //! * the shared parallel-dispatch [`tuning`] heuristics used by every
 //!   backend;
 //! * sharded, memory-budgeted storage ([`budget`]): every backend
@@ -54,7 +58,7 @@
 //!
 //! ```
 //! use ugraph_graph::{GraphBuilder, NodeId};
-//! use ugraph_sampling::{ComponentPool, ExactOracle};
+//! use ugraph_sampling::{ComponentPool, ExactOracle, WorldEngine};
 //!
 //! let mut b = GraphBuilder::new(3);
 //! b.add_edge(0, 1, 0.5).unwrap();

@@ -337,34 +337,6 @@ impl<'g> ComponentPool<'g> {
         }
     }
 
-    /// Binds the pool to a (possibly shared) memory budget: the resident
-    /// bytes move to the new ledger and the pool immediately sheds
-    /// least-recently-used shards if the new ledger is over its limit.
-    pub fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        let held: usize = self.shards.iter().map(|m| m.bytes).sum();
-        self.budget.release(held);
-        budget.charge(held);
-        self.budget = budget;
-        self.trim_to_budget();
-    }
-
-    /// Attaches the per-solve interruption state; see
-    /// [`WorldEngine::set_run_state`].
-    pub fn set_run_state(&mut self, run: RunState) {
-        self.run = run;
-    }
-
-    /// Resident bytes, the budget limit, and this pool's cumulative shard
-    /// eviction/regeneration counters.
-    pub fn memory_stats(&self) -> MemoryStats {
-        MemoryStats {
-            bytes_held: self.shards.iter().map(|m| m.bytes).sum(),
-            bytes_limit: self.budget.limit(),
-            shards_evicted: self.evicted,
-            shards_regenerated: self.regenerated,
-        }
-    }
-
     /// Re-derives shard `s`'s byte charge from its rows and settles the
     /// difference with the ledger.
     fn sync_shard_bytes(&mut self, s: usize) {
@@ -613,21 +585,6 @@ impl<'g> ComponentPool<'g> {
         self.rows[i].component_count()
     }
 
-    /// For every node `u`, the number of samples in which `u` lies in the
-    /// same component as `center`. `p̃(u, center) = out[u] / num_samples()`.
-    ///
-    /// Runs in `Σ_i |comp_i(center)|` — only the center's component members
-    /// are touched per sample, which on sparse sampled worlds is far below
-    /// `n·r`. Sample rows are processed in parallel chunks; integer count
-    /// merging keeps the result independent of the chunking.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != n`.
-    pub fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
-        let len = self.rows.len();
-        self.counts_from_center_range(center, 0, len, out)
-    }
-
     /// The kernel of the center-count queries, over rows already resolved
     /// by the caller.
     fn counts_center_resident(&self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
@@ -646,10 +603,78 @@ impl<'g> ComponentPool<'g> {
         };
         chunked_counts(&self.config, &self.rows[lo..hi], n, n, accumulate, out);
     }
+}
 
-    /// Batched [`ComponentPool::counts_from_center`]: one count row per
-    /// requested center, row-major in `out` (`out[j * n + u]`).
-    ///
+/// Panics unless both depths are [`DEPTH_UNLIMITED`]: component labels
+/// carry no distance information, so [`ComponentPool`] answers
+/// unlimited-depth queries only.
+fn assert_unlimited(d_select: u32, d_cover: u32) {
+    assert!(
+        d_select == DEPTH_UNLIMITED && d_cover == DEPTH_UNLIMITED,
+        "ComponentPool answers unlimited-depth queries only; use WorldPool or \
+         BitParallelPool for finite depths"
+    );
+}
+
+impl WorldEngine for ComponentPool<'_> {
+    /// Binds the pool to a (possibly shared) memory budget: the resident
+    /// bytes move to the new ledger and the pool immediately sheds
+    /// least-recently-used shards if the new ledger is over its limit.
+    fn set_memory_budget(&mut self, budget: MemoryBudget) {
+        let held: usize = self.shards.iter().map(|m| m.bytes).sum();
+        self.budget.release(held);
+        budget.charge(held);
+        self.budget = budget;
+        self.trim_to_budget();
+    }
+
+    fn set_run_state(&mut self, run: RunState) {
+        self.run = run;
+    }
+
+    /// Resident bytes, the budget limit, and this pool's cumulative shard
+    /// eviction/regeneration counters.
+    fn memory_stats(&self) -> MemoryStats {
+        MemoryStats {
+            bytes_held: self.shards.iter().map(|m| m.bytes).sum(),
+            bytes_limit: self.budget.limit(),
+            shards_evicted: self.evicted,
+            shards_regenerated: self.regenerated,
+        }
+    }
+
+    fn graph(&self) -> &UncertainGraph {
+        ComponentPool::graph(self)
+    }
+
+    fn supports_finite_depths(&self) -> bool {
+        false
+    }
+
+    fn num_samples(&self) -> usize {
+        ComponentPool::num_samples(self)
+    }
+
+    fn ensure(&mut self, r: usize) {
+        ComponentPool::ensure(self, r)
+    }
+
+    /// Runs in `Σ_i |comp_i(center)|` over the window — only the center's
+    /// component members are touched per sample, which on sparse sampled
+    /// worlds is far below `n·r`. Sample rows are processed in parallel
+    /// chunks; integer count merging keeps the result independent of the
+    /// chunking.
+    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
+        let n = self.graph().num_nodes();
+        assert_eq!(out.len(), n, "counts buffer has wrong length");
+        assert!(lo <= hi && hi <= self.rows.len(), "invalid sample range [{lo}, {hi})");
+        if !self.resolve_range(lo, hi) {
+            return;
+        }
+        self.counts_center_resident(center, lo, hi, out);
+        self.trim_to_budget();
+    }
+
     /// Implemented as a per-center loop: the membership index already makes
     /// a single-center sweep proportional to the center's component sizes,
     /// and keeping each pass focused on one `n`-sized output row is faster
@@ -657,25 +682,7 @@ impl<'g> ComponentPool<'g> {
     /// `k` rows (measured on the Krogan-like instance). The batch entry
     /// point still matters for the seam: other backends amortize real work
     /// here, and callers stay backend-agnostic.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != centers.len() * n`.
-    pub fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        let len = self.rows.len();
-        self.counts_from_centers_range(centers, 0, len, out)
-    }
-
-    /// Batched [`ComponentPool::counts_from_center_range`]: one count row
-    /// per requested center over the sample window `[lo, hi)`, row-major
-    /// in `out`. Like [`ComponentPool::counts_from_centers`], a per-center
-    /// loop — the membership index already makes each pass proportional to
-    /// the center's component sizes — but the batch entry point keeps
-    /// oracle top-up waves backend-agnostic.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != centers.len() * n`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    pub fn counts_from_centers_range(
+    fn counts_from_centers_range(
         &mut self,
         centers: &[NodeId],
         lo: usize,
@@ -695,40 +702,8 @@ impl<'g> ComponentPool<'g> {
         self.trim_to_budget();
     }
 
-    /// [`ComponentPool::counts_from_center`] restricted to the samples with
-    /// index in `[lo, hi)` — counts over disjoint ranges add up exactly.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != n`, `lo > hi`, or `hi > num_samples()`.
-    pub fn counts_from_center_range(
-        &mut self,
-        center: NodeId,
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), n, "counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.rows.len(), "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        self.counts_center_resident(center, lo, hi, out);
-        self.trim_to_budget();
-    }
-
-    /// Number of samples where `u` and `v` are connected.
-    pub fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
-        let len = self.rows.len();
-        self.pair_count_range(u, v, 0, len)
-    }
-
-    /// [`ComponentPool::pair_count`] restricted to the samples with index
-    /// in `[lo, hi)` — one label comparison per in-window sample.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > num_samples()`.
-    pub fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
+    /// One label comparison per in-window sample.
+    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
         assert!(lo <= hi && hi <= self.rows.len(), "invalid sample range [{lo}, {hi})");
         if !self.resolve_range(lo, hi) {
             return 0;
@@ -745,138 +720,11 @@ impl<'g> ComponentPool<'g> {
         total
     }
 
-    /// The estimator `p̃(u, v)` of Eq. 3. Returns 0 for an empty pool.
-    pub fn pair_estimate(&mut self, u: NodeId, v: NodeId) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.pair_count(u, v) as f64 / self.rows.len() as f64
-    }
-}
-
-impl WorldEngine for ComponentPool<'_> {
-    fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        ComponentPool::set_memory_budget(self, budget)
-    }
-
-    fn set_run_state(&mut self, run: RunState) {
-        ComponentPool::set_run_state(self, run)
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        ComponentPool::memory_stats(self)
-    }
-
-    fn graph(&self) -> &UncertainGraph {
-        ComponentPool::graph(self)
-    }
-
-    fn supports_finite_depths(&self) -> bool {
-        false
-    }
-
-    fn num_samples(&self) -> usize {
-        ComponentPool::num_samples(self)
-    }
-
-    fn ensure(&mut self, r: usize) {
-        ComponentPool::ensure(self, r)
-    }
-
-    fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
-        ComponentPool::counts_from_center(self, center, out)
-    }
-
-    fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        ComponentPool::counts_from_centers(self, centers, out)
-    }
-
-    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
-        ComponentPool::counts_from_center_range(self, center, lo, hi, out)
-    }
-
-    fn counts_from_centers_range(
-        &mut self,
-        centers: &[NodeId],
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        ComponentPool::counts_from_centers_range(self, centers, lo, hi, out)
-    }
-
-    fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
-        ComponentPool::pair_count(self, u, v)
-    }
-
-    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
-        ComponentPool::pair_count_range(self, u, v, lo, hi)
-    }
-
-    /// # Panics
-    /// Panics if `depth` is finite (see
-    /// [`counts_within_depths`](WorldEngine::counts_within_depths)).
-    fn pair_count_within_range(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) -> usize {
-        assert!(
-            depth == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        ComponentPool::pair_count_range(self, u, v, lo, hi)
-    }
-
     /// Component labels carry no distance information, so this scalar
     /// backend only answers [`DEPTH_UNLIMITED`] depths.
     ///
     /// # Panics
     /// Panics if either depth is finite.
-    fn counts_within_depths(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        assert!(
-            d_select == DEPTH_UNLIMITED && d_cover == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        ComponentPool::counts_from_center(self, center, out_cover);
-        out_select.copy_from_slice(out_cover);
-    }
-
-    /// # Panics
-    /// Panics if either depth is finite (see
-    /// [`counts_within_depths`](WorldEngine::counts_within_depths)).
-    fn counts_within_depths_batch(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        assert!(
-            d_select == DEPTH_UNLIMITED && d_cover == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        ComponentPool::counts_from_centers(self, centers, out_cover);
-        out_select.copy_from_slice(out_cover);
-    }
-
-    /// # Panics
-    /// Panics if either depth is finite (see
-    /// [`counts_within_depths`](WorldEngine::counts_within_depths)).
     fn counts_within_depths_range(
         &mut self,
         center: NodeId,
@@ -887,18 +735,14 @@ impl WorldEngine for ComponentPool<'_> {
         out_select: &mut [u32],
         out_cover: &mut [u32],
     ) {
-        assert!(
-            d_select == DEPTH_UNLIMITED && d_cover == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        ComponentPool::counts_from_center_range(self, center, lo, hi, out_cover);
+        assert_unlimited(d_select, d_cover);
+        self.counts_from_center_range(center, lo, hi, out_cover);
         out_select.copy_from_slice(out_cover);
     }
 
     /// # Panics
     /// Panics if either depth is finite (see
-    /// [`counts_within_depths`](WorldEngine::counts_within_depths)).
+    /// [`counts_within_depths_range`](WorldEngine::counts_within_depths_range)).
     fn counts_within_depths_batch_range(
         &mut self,
         centers: &[NodeId],
@@ -909,25 +753,24 @@ impl WorldEngine for ComponentPool<'_> {
         out_select: &mut [u32],
         out_cover: &mut [u32],
     ) {
-        assert!(
-            d_select == DEPTH_UNLIMITED && d_cover == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        ComponentPool::counts_from_centers_range(self, centers, lo, hi, out_cover);
+        assert_unlimited(d_select, d_cover);
+        self.counts_from_centers_range(centers, lo, hi, out_cover);
         out_select.copy_from_slice(out_cover);
     }
 
     /// # Panics
     /// Panics if `depth` is finite (see
-    /// [`counts_within_depths`](WorldEngine::counts_within_depths)).
-    fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
-        assert!(
-            depth == DEPTH_UNLIMITED,
-            "ComponentPool answers unlimited-depth queries only; use WorldPool or \
-             BitParallelPool for finite depths"
-        );
-        ComponentPool::pair_count(self, u, v)
+    /// [`counts_within_depths_range`](WorldEngine::counts_within_depths_range)).
+    fn pair_count_within_range(
+        &mut self,
+        u: NodeId,
+        v: NodeId,
+        depth: u32,
+        lo: usize,
+        hi: usize,
+    ) -> usize {
+        assert_unlimited(depth, depth);
+        self.pair_count_range(u, v, lo, hi)
     }
 }
 
@@ -994,34 +837,6 @@ impl<'g> WorldPool<'g> {
             regenerated: 0,
             run: RunState::unlimited(),
         }
-    }
-
-    /// Binds the pool to a (possibly shared) memory budget: the resident
-    /// bytes move to the new ledger and the pool immediately sheds
-    /// least-recently-used shards if the new ledger is over its limit.
-    pub fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        let held: usize = self.shards.iter().map(|m| m.bytes).sum();
-        self.budget.release(held);
-        budget.charge(held);
-        self.budget = budget;
-        self.trim_to_budget();
-    }
-
-    /// Resident bytes, the budget limit, and this pool's cumulative shard
-    /// eviction/regeneration counters.
-    pub fn memory_stats(&self) -> MemoryStats {
-        MemoryStats {
-            bytes_held: self.shards.iter().map(|m| m.bytes).sum(),
-            bytes_limit: self.budget.limit(),
-            shards_evicted: self.evicted,
-            shards_regenerated: self.regenerated,
-        }
-    }
-
-    /// Attaches the per-solve interruption state; see
-    /// [`WorldEngine::set_run_state`].
-    pub fn set_run_state(&mut self, run: RunState) {
-        self.run = run;
     }
 
     /// Re-derives shard `s`'s byte charge from its world bitsets and
@@ -1217,59 +1032,134 @@ impl<'g> WorldPool<'g> {
         self.resolve_point(i);
         &self.worlds[i]
     }
+}
 
-    /// Depth-limited connection counts from `center`.
-    ///
-    /// For every node `u`, after the call:
-    /// * `out_select[u]` = #worlds with `dist(center, u) ≤ d_select`,
-    /// * `out_cover[u]`  = #worlds with `dist(center, u) ≤ d_cover`.
-    ///
-    /// Requires `d_select ≤ d_cover` (one bounded BFS per world covers
-    /// both).
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch or `d_select > d_cover`.
-    pub fn counts_within_depths(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let len = self.worlds.len();
-        self.counts_within_depths_range(center, d_select, d_cover, 0, len, out_select, out_cover)
+impl WorldEngine for WorldPool<'_> {
+    /// Binds the pool to a (possibly shared) memory budget: the resident
+    /// bytes move to the new ledger and the pool immediately sheds
+    /// least-recently-used shards if the new ledger is over its limit.
+    fn set_memory_budget(&mut self, budget: MemoryBudget) {
+        let held: usize = self.shards.iter().map(|m| m.bytes).sum();
+        self.budget.release(held);
+        budget.charge(held);
+        self.budget = budget;
+        self.trim_to_budget();
     }
 
-    /// Batched [`WorldPool::counts_within_depths`]: rows row-major per
-    /// center. Each world's edge bitset is materialized as a [`WorldView`]
-    /// **once** for all centers (one pass over the pool), with counts
-    /// identical to sequential per-center calls.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch or `d_select > d_cover`.
-    pub fn counts_within_depths_batch(
+    fn set_run_state(&mut self, run: RunState) {
+        self.run = run;
+    }
+
+    /// Resident bytes, the budget limit, and this pool's cumulative shard
+    /// eviction/regeneration counters.
+    fn memory_stats(&self) -> MemoryStats {
+        MemoryStats {
+            bytes_held: self.shards.iter().map(|m| m.bytes).sum(),
+            bytes_limit: self.budget.limit(),
+            shards_evicted: self.evicted,
+            shards_regenerated: self.regenerated,
+        }
+    }
+
+    fn graph(&self) -> &UncertainGraph {
+        WorldPool::graph(self)
+    }
+
+    fn num_samples(&self) -> usize {
+        WorldPool::num_samples(self)
+    }
+
+    fn ensure(&mut self, r: usize) {
+        WorldPool::ensure(self, r)
+    }
+
+    /// Dedicated unlimited path: one increment per reached node, no select
+    /// row to duplicate.
+    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
+        let n = self.graph().num_nodes();
+        assert_eq!(out.len(), n, "counts buffer has wrong length");
+        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
+        if !self.resolve_range(lo, hi) {
+            return;
+        }
+        let run = self.run.clone();
+        let WorldPool { sampler, worlds, config, bfs, .. } = self;
+        let graph = sampler.graph();
+        chunked_counts_with(
+            config,
+            &worlds[lo..hi],
+            n,
+            n,
+            bfs,
+            || DepthBfs::new(n),
+            |counts, bfs, worlds| {
+                for world in worlds {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
+                    }
+                    let view = WorldView::new(graph, world);
+                    bfs.run(&view, center, DEPTH_UNLIMITED, |node, _| counts[node.index()] += 1);
+                }
+            },
+            out,
+        );
+        self.trim_to_budget();
+    }
+
+    /// One pass over the window: each in-window world's view is built once
+    /// for all centers instead of once per center.
+    fn counts_from_centers_range(
         &mut self,
         centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
+        lo: usize,
+        hi: usize,
+        out: &mut [u32],
     ) {
-        let len = self.worlds.len();
-        self.counts_within_depths_batch_range(
-            centers, d_select, d_cover, 0, len, out_select, out_cover,
-        )
+        let n = self.graph().num_nodes();
+        let k = centers.len();
+        assert_eq!(out.len(), k * n, "batch counts buffer has wrong length");
+        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
+        if k == 0 {
+            return;
+        }
+        if !self.resolve_range(lo, hi) {
+            return;
+        }
+        let run = self.run.clone();
+        let WorldPool { sampler, worlds, config, bfs, .. } = self;
+        let graph = sampler.graph();
+        chunked_counts_with(
+            config,
+            &worlds[lo..hi],
+            k * n,
+            k * n,
+            bfs,
+            || DepthBfs::new(n),
+            |counts, bfs, worlds| {
+                for world in worlds {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
+                    }
+                    let view = WorldView::new(graph, world);
+                    for (j, &c) in centers.iter().enumerate() {
+                        bfs.run(&view, c, DEPTH_UNLIMITED, |node, _| {
+                            counts[j * n + node.index()] += 1;
+                        });
+                    }
+                }
+            },
+            out,
+        );
+        self.trim_to_budget();
     }
 
-    /// [`WorldPool::counts_within_depths`] restricted to the worlds with
-    /// index in `[lo, hi)` — counts over disjoint ranges add up exactly.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn counts_within_depths_range(
+    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
+        self.pair_count_within_range(u, v, DEPTH_UNLIMITED, lo, hi)
+    }
+
+    /// One bounded BFS per in-window world covers both depths (hence
+    /// `d_select ≤ d_cover`).
+    fn counts_within_depths_range(
         &mut self,
         center: NodeId,
         d_select: u32,
@@ -1317,17 +1207,9 @@ impl<'g> WorldPool<'g> {
         self.trim_to_budget();
     }
 
-    /// Batched [`WorldPool::counts_within_depths_range`]: rows row-major
-    /// per center over the worlds with index in `[lo, hi)`. Each in-window
-    /// world's edge bitset is materialized as a [`WorldView`] **once** for
-    /// all centers — the top-up analogue of
-    /// [`WorldPool::counts_within_depths_batch`].
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn counts_within_depths_batch_range(
+    /// Each in-window world's edge bitset is materialized as a
+    /// [`WorldView`] **once** for all centers (one pass over the window).
+    fn counts_within_depths_batch_range(
         &mut self,
         centers: &[NodeId],
         d_select: u32,
@@ -1381,18 +1263,8 @@ impl<'g> WorldPool<'g> {
         self.trim_to_budget();
     }
 
-    /// Number of worlds where `dist(u, v) ≤ depth`.
-    pub fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
-        let len = self.worlds.len();
-        self.pair_count_within_range(u, v, depth, 0, len)
-    }
-
-    /// [`WorldPool::pair_count_within`] restricted to the worlds with
-    /// index in `[lo, hi)` — one bounded BFS per in-window world.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > num_samples()`.
-    pub fn pair_count_within_range(
+    /// One bounded BFS per in-window world.
+    fn pair_count_within_range(
         &mut self,
         u: NodeId,
         v: NodeId,
@@ -1426,211 +1298,6 @@ impl<'g> WorldPool<'g> {
         );
         self.trim_to_budget();
         total
-    }
-
-    /// Estimator of the d-connection probability `Pr(u ~d~ v)`.
-    pub fn pair_estimate_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> f64 {
-        if self.worlds.is_empty() {
-            return 0.0;
-        }
-        let r = self.worlds.len();
-        self.pair_count_within(u, v, depth) as f64 / r as f64
-    }
-}
-
-impl WorldEngine for WorldPool<'_> {
-    fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        WorldPool::set_memory_budget(self, budget)
-    }
-
-    fn set_run_state(&mut self, run: RunState) {
-        WorldPool::set_run_state(self, run)
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        WorldPool::memory_stats(self)
-    }
-
-    fn graph(&self) -> &UncertainGraph {
-        WorldPool::graph(self)
-    }
-
-    fn num_samples(&self) -> usize {
-        WorldPool::num_samples(self)
-    }
-
-    fn ensure(&mut self, r: usize) {
-        WorldPool::ensure(self, r)
-    }
-
-    fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
-        // Dedicated unlimited path: one increment per reached node, no
-        // select row to duplicate (the ranged kernel over the full window).
-        let len = self.worlds.len();
-        WorldEngine::counts_from_center_range(self, center, 0, len, out)
-    }
-
-    fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        // One pass over the pool: each world's view is built once for all
-        // centers instead of once per center (the ranged kernel over the
-        // full window).
-        let len = self.worlds.len();
-        self.counts_from_centers_range(centers, 0, len, out)
-    }
-
-    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), n, "counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let run = self.run.clone();
-        let WorldPool { sampler, worlds, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        chunked_counts_with(
-            config,
-            &worlds[lo..hi],
-            n,
-            n,
-            bfs,
-            || DepthBfs::new(n),
-            |counts, bfs, worlds| {
-                for world in worlds {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let view = WorldView::new(graph, world);
-                    bfs.run(&view, center, DEPTH_UNLIMITED, |node, _| counts[node.index()] += 1);
-                }
-            },
-            out,
-        );
-        self.trim_to_budget();
-    }
-
-    fn counts_from_centers_range(
-        &mut self,
-        centers: &[NodeId],
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        // One pass over the window: each in-window world's view is built
-        // once for all centers, as in `counts_from_centers`.
-        let n = self.graph().num_nodes();
-        let k = centers.len();
-        assert_eq!(out.len(), k * n, "batch counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.worlds.len(), "invalid sample range [{lo}, {hi})");
-        if k == 0 {
-            return;
-        }
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let run = self.run.clone();
-        let WorldPool { sampler, worlds, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        chunked_counts_with(
-            config,
-            &worlds[lo..hi],
-            k * n,
-            k * n,
-            bfs,
-            || DepthBfs::new(n),
-            |counts, bfs, worlds| {
-                for world in worlds {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let view = WorldView::new(graph, world);
-                    for (j, &c) in centers.iter().enumerate() {
-                        bfs.run(&view, c, DEPTH_UNLIMITED, |node, _| {
-                            counts[j * n + node.index()] += 1;
-                        });
-                    }
-                }
-            },
-            out,
-        );
-        self.trim_to_budget();
-    }
-
-    fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
-        WorldPool::pair_count_within(self, u, v, DEPTH_UNLIMITED)
-    }
-
-    fn counts_within_depths(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        WorldPool::counts_within_depths(self, center, d_select, d_cover, out_select, out_cover)
-    }
-
-    fn counts_within_depths_batch(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        WorldPool::counts_within_depths_batch(
-            self, centers, d_select, d_cover, out_select, out_cover,
-        )
-    }
-
-    fn counts_within_depths_range(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        WorldPool::counts_within_depths_range(
-            self, center, d_select, d_cover, lo, hi, out_select, out_cover,
-        )
-    }
-
-    fn counts_within_depths_batch_range(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        WorldPool::counts_within_depths_batch_range(
-            self, centers, d_select, d_cover, lo, hi, out_select, out_cover,
-        )
-    }
-
-    fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
-        WorldPool::pair_count_within(self, u, v, depth)
-    }
-
-    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
-        WorldPool::pair_count_within_range(self, u, v, DEPTH_UNLIMITED, lo, hi)
-    }
-
-    fn pair_count_within_range(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) -> usize {
-        WorldPool::pair_count_within_range(self, u, v, depth, lo, hi)
     }
 }
 
@@ -1995,34 +1662,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self
     }
 
-    /// Binds the pool to a (possibly shared) memory budget: the resident
-    /// bytes move to the new ledger and the pool immediately sheds
-    /// least-recently-used shards if the new ledger is over its limit.
-    pub fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        let held: usize = self.shards.iter().map(|sh| sh.bytes).sum();
-        self.budget.release(held);
-        budget.charge(held);
-        self.budget = budget;
-        self.trim_to_budget();
-    }
-
-    /// Resident bytes, the budget limit, and this pool's cumulative shard
-    /// eviction/regeneration counters.
-    pub fn memory_stats(&self) -> MemoryStats {
-        MemoryStats {
-            bytes_held: self.shards.iter().map(|sh| sh.bytes).sum(),
-            bytes_limit: self.budget.limit(),
-            shards_evicted: self.evicted,
-            shards_regenerated: self.regenerated,
-        }
-    }
-
-    /// Attaches the per-solve interruption state; see
-    /// [`WorldEngine::set_run_state`].
-    pub fn set_run_state(&mut self, run: RunState) {
-        self.run = run;
-    }
-
     /// Re-derives shard `s`'s byte charge from its blocks (masks plus any
     /// finalized labels) and settles the difference with the ledger.
     fn sync_shard_bytes(&mut self, s: usize) {
@@ -2126,11 +1765,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
     /// evicted).
     pub fn num_blocks(&self) -> usize {
         self.samples.div_ceil(Self::BLOCK_LANES)
-    }
-
-    /// Finalization counters (see [`EngineStats`]).
-    pub fn engine_stats(&self) -> EngineStats {
-        self.stats
     }
 
     /// Presence mask of edge `e` in block `block` (lane `l` ⇔ the edge
@@ -2328,57 +1962,138 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.trim_to_budget();
     }
 
-    /// For every node `u`, the number of samples in which `u` is connected
-    /// to `center` — per block, one connectivity-fixpoint traversal
-    /// popcounting the final reach masks; on a finalized block the lanes
-    /// where the center is in the giant component are counted from the
-    /// giant masks instead and the traversal covers only the rest.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != n`.
-    pub fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
-        let samples = self.samples;
-        self.counts_from_center_range(center, 0, samples, out)
+    /// The blocks overlapping sample range `[lo, hi)`, each with the lane
+    /// mask selecting exactly the in-range worlds of that block, written
+    /// into `out` (reused across queries to keep single-row queries
+    /// allocation-free).
+    fn range_blocks_into(lo: usize, hi: usize, out: &mut Vec<(u32, Mask<W>)>) {
+        out.clear();
+        if lo >= hi {
+            return;
+        }
+        let first = lo / Self::BLOCK_LANES;
+        let last = (hi - 1) / Self::BLOCK_LANES;
+        out.extend((first..=last).map(|b| {
+            let base = b * Self::BLOCK_LANES;
+            let s = lo.max(base) - base;
+            let e = hi.min(base + Self::BLOCK_LANES) - base;
+            (b as u32, Mask::<W>::prefix(e).and_not(Mask::prefix(s)))
+        }));
+    }
+}
+
+impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
+    /// Binds the pool to a (possibly shared) memory budget: the resident
+    /// bytes move to the new ledger and the pool immediately sheds
+    /// least-recently-used shards if the new ledger is over its limit.
+    fn set_memory_budget(&mut self, budget: MemoryBudget) {
+        let held: usize = self.shards.iter().map(|sh| sh.bytes).sum();
+        self.budget.release(held);
+        budget.charge(held);
+        self.budget = budget;
+        self.trim_to_budget();
     }
 
-    /// Batched [`BitParallelPool::counts_from_center`]: one count row per
-    /// requested center, row-major in `out` (`out[j * n + u]`).
-    ///
+    fn set_run_state(&mut self, run: RunState) {
+        self.run = run;
+    }
+
+    /// Resident bytes, the budget limit, and this pool's cumulative shard
+    /// eviction/regeneration counters.
+    fn memory_stats(&self) -> MemoryStats {
+        MemoryStats {
+            bytes_held: self.shards.iter().map(|sh| sh.bytes).sum(),
+            bytes_limit: self.budget.limit(),
+            shards_evicted: self.evicted,
+            shards_regenerated: self.regenerated,
+        }
+    }
+
+    fn graph(&self) -> &UncertainGraph {
+        BitParallelPool::graph(self)
+    }
+
+    fn num_samples(&self) -> usize {
+        BitParallelPool::num_samples(self)
+    }
+
+    /// Finalization counters (see [`EngineStats`]).
+    fn engine_stats(&self) -> EngineStats {
+        self.stats
+    }
+
+    fn ensure(&mut self, r: usize) {
+        BitParallelPool::ensure(self, r)
+    }
+
+    /// Only the blocks overlapping the window are traversed, with their lane
+    /// masks narrowed to the window's lanes: per block, one
+    /// connectivity-fixpoint traversal popcounting the final reach masks; on a
+    /// finalized block the lanes where the center is in the giant component
+    /// are counted from the giant masks instead and the traversal covers only
+    /// the rest.
+    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
+        let n = self.graph().num_nodes();
+        assert_eq!(out.len(), n, "counts buffer has wrong length");
+        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
+        if !self.resolve_range(lo, hi) {
+            return;
+        }
+        self.prepare_unlimited(lo, hi, UnlimitedShape::Row);
+        let mut items = std::mem::take(&mut self.items);
+        Self::range_blocks_into(lo, hi, &mut items);
+        let run = self.run.clone();
+        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
+        let graph = sampler.graph();
+        let shards: &[BlockShard<W>] = shards;
+        let per_block = n + 2 * graph.num_edges();
+        chunked_counts_with(
+            config,
+            &items,
+            n,
+            per_block,
+            bfs,
+            || MultiWorldBfs::<W>::new(n),
+            |counts, bfs, items| {
+                for &(b, mask) in items {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
+                    }
+                    let block = shard_block(shards, b as usize);
+                    let (labeled, mut masked) = block.split_lanes(mask);
+                    if let Some(labels) = &block.labels {
+                        // Lanes where the center is in the giant are one
+                        // popcount pass; the rest join the traversal.
+                        let inside = labels.giant[center.index()] & labeled;
+                        labels.add_giant_counts(inside, counts);
+                        masked |= labeled.and_not(inside);
+                    }
+                    if masked.any() {
+                        bfs.run_unlimited(graph, &block.masks, center, masked, |node, m| {
+                            counts[node.index()] += m.count_ones();
+                        });
+                    }
+                }
+            },
+            out,
+        );
+        self.items = items;
+        self.trim_to_budget();
+    }
+
     /// Amortization by **component sharing**: connectivity reach sets are
-    /// per-component, so if centers `c_i` and `c_j` are connected in some
-    /// of a block's worlds, their rows are identical in those worlds. Per
-    /// block, each center runs a mask BFS only over the worlds
-    /// where its component is still unknown; every later center found
-    /// inside the traversed reach set inherits the reach masks for the
-    /// shared worlds with one AND + popcount sweep instead of a
-    /// re-traversal. On instances with a supercritical giant component
-    /// (most candidate centers connected in most worlds), a block costs
-    /// roughly one traversal plus `k` cheap sweeps — the amortization that
-    /// makes bit-parallel win the multi-row query workload it loses on
-    /// single rows.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != centers.len() * n`.
-    pub fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        let samples = self.samples;
-        self.counts_from_centers_range(centers, 0, samples, out)
-    }
-
-    /// Batched [`BitParallelPool::counts_from_center_range`]: one count row
-    /// per requested center over the sample window `[lo, hi)`, with the
-    /// same **component-sharing** amortization as
-    /// [`BitParallelPool::counts_from_centers`] — per overlapping
-    /// block, each center traverses only the window lanes where its
-    /// component is still unknown, and later centers found inside an
-    /// earlier reach set inherit the shared worlds' rows with one
-    /// AND + popcount sweep. This is the top-up wave shape: one shared pass
-    /// over the new worlds for all cached rows instead of the losing
-    /// single-row mask BFS per center.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != centers.len() * n`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    pub fn counts_from_centers_range(
+    /// per-component, so if centers `c_i` and `c_j` are connected in some of a
+    /// block's worlds, their rows are identical in those worlds. Per
+    /// overlapping block, each center runs a mask BFS only over the window
+    /// lanes where its component is still unknown; every later center found
+    /// inside the traversed reach set inherits the reach masks for the shared
+    /// worlds with one AND + popcount sweep instead of a re-traversal. On
+    /// instances with a supercritical giant component (most candidate centers
+    /// connected in most worlds), a block costs roughly one traversal plus `k`
+    /// cheap sweeps — the amortization that makes the adaptive backend win the
+    /// multi-row query workload, and one shared pass over the new worlds for
+    /// all rows of a row-cache top-up wave.
+    fn counts_from_centers_range(
         &mut self,
         centers: &[NodeId],
         lo: usize,
@@ -2455,100 +2170,9 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.trim_to_budget();
     }
 
-    /// [`BitParallelPool::counts_from_center`] restricted to the samples
-    /// with index in `[lo, hi)`: only the blocks overlapping the range are
-    /// traversed, with their lane masks narrowed to the range's lanes —
-    /// counts over disjoint ranges add up exactly.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != n`, `lo > hi`, or `hi > num_samples()`.
-    pub fn counts_from_center_range(
-        &mut self,
-        center: NodeId,
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out.len(), n, "counts buffer has wrong length");
-        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        self.prepare_unlimited(lo, hi, UnlimitedShape::Row);
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[BlockShard<W>] = shards;
-        let per_block = n + 2 * graph.num_edges();
-        chunked_counts_with(
-            config,
-            &items,
-            n,
-            per_block,
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |counts, bfs, items| {
-                for &(b, mask) in items {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    let block = shard_block(shards, b as usize);
-                    let (labeled, mut masked) = block.split_lanes(mask);
-                    if let Some(labels) = &block.labels {
-                        // Lanes where the center is in the giant are one
-                        // popcount pass; the rest join the traversal.
-                        let inside = labels.giant[center.index()] & labeled;
-                        labels.add_giant_counts(inside, counts);
-                        masked |= labeled.and_not(inside);
-                    }
-                    if masked.any() {
-                        bfs.run_unlimited(graph, &block.masks, center, masked, |node, m| {
-                            counts[node.index()] += m.count_ones();
-                        });
-                    }
-                }
-            },
-            out,
-        );
-        self.items = items;
-        self.trim_to_budget();
-    }
-
-    /// The blocks overlapping sample range `[lo, hi)`, each with the lane
-    /// mask selecting exactly the in-range worlds of that block, written
-    /// into `out` (reused across queries to keep single-row queries
-    /// allocation-free).
-    fn range_blocks_into(lo: usize, hi: usize, out: &mut Vec<(u32, Mask<W>)>) {
-        out.clear();
-        if lo >= hi {
-            return;
-        }
-        let first = lo / Self::BLOCK_LANES;
-        let last = (hi - 1) / Self::BLOCK_LANES;
-        out.extend((first..=last).map(|b| {
-            let base = b * Self::BLOCK_LANES;
-            let s = lo.max(base) - base;
-            let e = hi.min(base + Self::BLOCK_LANES) - base;
-            (b as u32, Mask::<W>::prefix(e).and_not(Mask::prefix(s)))
-        }));
-    }
-
-    /// Number of samples where `u` and `v` are connected.
-    pub fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
-        let samples = self.samples;
-        self.pair_count_range(u, v, 0, samples)
-    }
-
-    /// [`BitParallelPool::pair_count`] restricted to the samples with
-    /// index in `[lo, hi)` — one masked fixpoint traversal per
-    /// overlapping block.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > num_samples()`.
-    pub fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
+    /// One masked fixpoint traversal per overlapping block; finalized lanes
+    /// are label compares.
+    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
         assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
         if !self.resolve_range(lo, hi) {
             return 0;
@@ -2594,58 +2218,76 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         total
     }
 
-    /// Depth-limited connection counts from `center` (same contract as
-    /// [`WorldPool::counts_within_depths`]) — one depth-limited masked BFS
-    /// per block.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch or `d_select > d_cover`.
-    pub fn counts_within_depths(
+    /// One depth-limited masked BFS per overlapping block.
+    fn counts_within_depths_range(
         &mut self,
         center: NodeId,
         d_select: u32,
         d_cover: u32,
+        lo: usize,
+        hi: usize,
         out_select: &mut [u32],
         out_cover: &mut [u32],
     ) {
-        let samples = self.samples;
-        self.counts_within_depths_range(
-            center, d_select, d_cover, 0, samples, out_select, out_cover,
-        )
+        let n = self.graph().num_nodes();
+        assert_eq!(out_select.len(), n, "select buffer has wrong length");
+        assert_eq!(out_cover.len(), n, "cover buffer has wrong length");
+        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
+        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
+        if d_select == DEPTH_UNLIMITED {
+            self.counts_from_center_range(center, lo, hi, out_cover);
+            out_select.copy_from_slice(out_cover);
+            return;
+        }
+        if !self.resolve_range(lo, hi) {
+            return;
+        }
+        let mut items = std::mem::take(&mut self.items);
+        Self::range_blocks_into(lo, hi, &mut items);
+        let run = self.run.clone();
+        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
+        let graph = sampler.graph();
+        let shards: &[BlockShard<W>] = shards;
+        let per_block = n + 2 * graph.num_edges();
+        chunked_counts2_with(
+            config,
+            &items,
+            n,
+            per_block,
+            bfs,
+            || MultiWorldBfs::<W>::new(n),
+            |select, cover, bfs, items| {
+                for &(b, mask) in items {
+                    if run.checkpoint(SamplingPhase::Sweep) {
+                        return;
+                    }
+                    bfs.run(
+                        graph,
+                        &shard_block(shards, b as usize).masks,
+                        center,
+                        mask,
+                        d_cover,
+                        |node, depth, m| {
+                            let c = m.count_ones();
+                            cover[node.index()] += c;
+                            if depth <= d_select {
+                                select[node.index()] += c;
+                            }
+                        },
+                    );
+                }
+            },
+            out_select,
+            out_cover,
+        );
+        self.items = items;
+        self.trim_to_budget();
     }
 
-    /// Batched [`BitParallelPool::counts_within_depths`]: rows row-major
-    /// per center, computed with multi-source level-synchronous mask BFS
-    /// in groups of up to [`MAX_SOURCES`] centers — one traversal per
-    /// block per group.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch or `d_select > d_cover`.
-    pub fn counts_within_depths_batch(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let samples = self.samples;
-        self.counts_within_depths_batch_range(
-            centers, d_select, d_cover, 0, samples, out_select, out_cover,
-        )
-    }
-
-    /// Batched [`BitParallelPool::counts_within_depths_range`]: rows
-    /// row-major per center over the sample window `[lo, hi)`, computed
-    /// with multi-source level-synchronous mask BFS in groups of up to
-    /// [`MAX_SOURCES`] centers — one traversal per overlapping
-    /// block per group, with lane masks narrowed to the window's worlds.
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn counts_within_depths_batch_range(
+    /// Multi-source level-synchronous mask BFS in groups of up to
+    /// [`MAX_SOURCES`] centers — one traversal per overlapping block per group,
+    /// with lane masks narrowed to the window's worlds.
+    fn counts_within_depths_batch_range(
         &mut self,
         centers: &[NodeId],
         d_select: u32,
@@ -2717,91 +2359,7 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.trim_to_budget();
     }
 
-    /// [`BitParallelPool::counts_within_depths`] restricted to the samples
-    /// with index in `[lo, hi)` (see
-    /// [`BitParallelPool::counts_from_center_range`]).
-    ///
-    /// # Panics
-    /// Panics on buffer-size mismatch, `d_select > d_cover`, `lo > hi`, or
-    /// `hi > num_samples()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn counts_within_depths_range(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        let n = self.graph().num_nodes();
-        assert_eq!(out_select.len(), n, "select buffer has wrong length");
-        assert_eq!(out_cover.len(), n, "cover buffer has wrong length");
-        assert!(d_select <= d_cover, "d_select ({d_select}) must be ≤ d_cover ({d_cover})");
-        assert!(lo <= hi && hi <= self.samples, "invalid sample range [{lo}, {hi})");
-        if d_select == DEPTH_UNLIMITED {
-            self.counts_from_center_range(center, lo, hi, out_cover);
-            out_select.copy_from_slice(out_cover);
-            return;
-        }
-        if !self.resolve_range(lo, hi) {
-            return;
-        }
-        let mut items = std::mem::take(&mut self.items);
-        Self::range_blocks_into(lo, hi, &mut items);
-        let run = self.run.clone();
-        let BitParallelPool { sampler, shards, config, bfs, .. } = self;
-        let graph = sampler.graph();
-        let shards: &[BlockShard<W>] = shards;
-        let per_block = n + 2 * graph.num_edges();
-        chunked_counts2_with(
-            config,
-            &items,
-            n,
-            per_block,
-            bfs,
-            || MultiWorldBfs::<W>::new(n),
-            |select, cover, bfs, items| {
-                for &(b, mask) in items {
-                    if run.checkpoint(SamplingPhase::Sweep) {
-                        return;
-                    }
-                    bfs.run(
-                        graph,
-                        &shard_block(shards, b as usize).masks,
-                        center,
-                        mask,
-                        d_cover,
-                        |node, depth, m| {
-                            let c = m.count_ones();
-                            cover[node.index()] += c;
-                            if depth <= d_select {
-                                select[node.index()] += c;
-                            }
-                        },
-                    );
-                }
-            },
-            out_select,
-            out_cover,
-        );
-        self.items = items;
-        self.trim_to_budget();
-    }
-
-    /// Number of samples where `dist(u, v) ≤ depth`.
-    pub fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
-        let samples = self.samples;
-        self.pair_count_within_range(u, v, depth, 0, samples)
-    }
-
-    /// [`BitParallelPool::pair_count_within`] restricted to the samples
-    /// with index in `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > num_samples()`.
-    pub fn pair_count_within_range(
+    fn pair_count_within_range(
         &mut self,
         u: NodeId,
         v: NodeId,
@@ -2853,145 +2411,6 @@ impl<'g, const W: usize> BitParallelPool<'g, W> {
         self.items = items;
         self.trim_to_budget();
         total
-    }
-
-    /// The estimator `p̃(u, v)` of Eq. 3. Returns 0 for an empty pool.
-    pub fn pair_estimate(&mut self, u: NodeId, v: NodeId) -> f64 {
-        if self.samples == 0 {
-            return 0.0;
-        }
-        self.pair_count(u, v) as f64 / self.samples as f64
-    }
-}
-
-impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
-    fn set_memory_budget(&mut self, budget: MemoryBudget) {
-        BitParallelPool::set_memory_budget(self, budget)
-    }
-
-    fn set_run_state(&mut self, run: RunState) {
-        BitParallelPool::set_run_state(self, run)
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        BitParallelPool::memory_stats(self)
-    }
-
-    fn graph(&self) -> &UncertainGraph {
-        BitParallelPool::graph(self)
-    }
-
-    fn num_samples(&self) -> usize {
-        BitParallelPool::num_samples(self)
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        BitParallelPool::engine_stats(self)
-    }
-
-    fn ensure(&mut self, r: usize) {
-        BitParallelPool::ensure(self, r)
-    }
-
-    fn counts_from_center(&mut self, center: NodeId, out: &mut [u32]) {
-        BitParallelPool::counts_from_center(self, center, out)
-    }
-
-    fn counts_from_centers(&mut self, centers: &[NodeId], out: &mut [u32]) {
-        BitParallelPool::counts_from_centers(self, centers, out)
-    }
-
-    fn counts_from_center_range(&mut self, center: NodeId, lo: usize, hi: usize, out: &mut [u32]) {
-        BitParallelPool::counts_from_center_range(self, center, lo, hi, out)
-    }
-
-    fn counts_from_centers_range(
-        &mut self,
-        centers: &[NodeId],
-        lo: usize,
-        hi: usize,
-        out: &mut [u32],
-    ) {
-        BitParallelPool::counts_from_centers_range(self, centers, lo, hi, out)
-    }
-
-    fn pair_count(&mut self, u: NodeId, v: NodeId) -> usize {
-        BitParallelPool::pair_count(self, u, v)
-    }
-
-    fn counts_within_depths(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        BitParallelPool::counts_within_depths(
-            self, center, d_select, d_cover, out_select, out_cover,
-        )
-    }
-
-    fn counts_within_depths_batch(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        BitParallelPool::counts_within_depths_batch(
-            self, centers, d_select, d_cover, out_select, out_cover,
-        )
-    }
-
-    fn counts_within_depths_range(
-        &mut self,
-        center: NodeId,
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        BitParallelPool::counts_within_depths_range(
-            self, center, d_select, d_cover, lo, hi, out_select, out_cover,
-        )
-    }
-
-    fn counts_within_depths_batch_range(
-        &mut self,
-        centers: &[NodeId],
-        d_select: u32,
-        d_cover: u32,
-        lo: usize,
-        hi: usize,
-        out_select: &mut [u32],
-        out_cover: &mut [u32],
-    ) {
-        BitParallelPool::counts_within_depths_batch_range(
-            self, centers, d_select, d_cover, lo, hi, out_select, out_cover,
-        )
-    }
-
-    fn pair_count_within(&mut self, u: NodeId, v: NodeId, depth: u32) -> usize {
-        BitParallelPool::pair_count_within(self, u, v, depth)
-    }
-
-    fn pair_count_range(&mut self, u: NodeId, v: NodeId, lo: usize, hi: usize) -> usize {
-        BitParallelPool::pair_count_range(self, u, v, lo, hi)
-    }
-
-    fn pair_count_within_range(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) -> usize {
-        BitParallelPool::pair_count_within_range(self, u, v, depth, lo, hi)
     }
 }
 

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use ugraph_graph::{GraphBuilder, NodeId, UncertainGraph};
 use ugraph_sampling::{
-    ComponentPool, DepthMcOracle, ExactOracle, McOracle, Oracle, SampleSchedule, WorldPool,
+    ComponentPool, DepthMcOracle, ExactOracle, McOracle, Oracle, SampleSchedule, WorldEngine,
+    WorldPool,
 };
 
 /// Strategy: a small random uncertain graph with at most `max_m ≤ 12`
@@ -214,7 +215,7 @@ proptest! {
     ) {
         let n = g.num_nodes();
         let d_cover = d_select + extra_depth;
-        let mut oracles: Vec<DepthMcOracle> = [1usize, 4, 0]
+        let mut oracles: Vec<McOracle> = [1usize, 4, 0]
             .iter()
             .map(|&threads| {
                 let mut o = DepthMcOracle::new(
