@@ -784,7 +784,7 @@ impl<'g> McOracle<'g> {
     /// the worlds sampled since the row was cached, or a full recompute),
     /// computed into the scratch rows otherwise. The select counts are
     /// empty when the rows are identical and cached.
-    fn window_row(&mut self, center: NodeId) -> Result<(&[u32], &[u32]), SamplingError> {
+    fn row_counts(&mut self, center: NodeId) -> Result<(&[u32], &[u32]), SamplingError> {
         let r_now = self.active;
         let d = self.depths;
         let run = self.run.clone();
@@ -881,7 +881,7 @@ impl Oracle for McOracle<'_> {
     ) -> Result<(), SamplingError> {
         let r = self.active.max(1) as f64;
         let identical = self.depths.identical();
-        let (counts_select, counts_cover) = self.window_row(center)?;
+        let (counts_select, counts_cover) = self.row_counts(center)?;
         write_probs(counts_cover, r, cover);
         if identical {
             select.copy_from_slice(cover);
@@ -904,7 +904,7 @@ impl Oracle for McOracle<'_> {
         // Serve the pair from u's (cached) cover row: objective evaluation
         // asks one pair per node against a handful of centers, so the row
         // is computed once and every further pair is a lookup.
-        let (_, counts_cover) = self.window_row(u)?;
+        let (_, counts_cover) = self.row_counts(u)?;
         Ok(counts_cover[v.index()] as f64 / r_now as f64)
     }
 

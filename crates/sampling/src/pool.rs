@@ -2108,7 +2108,7 @@ impl<const W: usize> WorldEngine for BitParallelPool<'_, W> {
             return;
         }
         if k == 1 {
-            return BitParallelPool::counts_from_center_range(self, centers[0], lo, hi, out);
+            return self.counts_from_center_range(centers[0], lo, hi, out);
         }
         if !self.resolve_range(lo, hi) {
             return;
